@@ -2,7 +2,7 @@
 //! the flow-engine speedup that makes the paper-scale sweeps tractable.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use multitree::algorithms::{AllReduce, MultiTree, Ring};
+use multitree::algorithms::{AllReduce, DbTree, MultiTree, Ring, Ring2D};
 use multitree::PreparedSchedule;
 use mt_netsim::telemetry::LinkTimeline;
 use mt_netsim::{cycle::CycleEngine, flow::FlowEngine, Engine, NetworkConfig, NoopObserver, SimScratch};
@@ -163,9 +163,48 @@ fn cycle_sweep_16node(c: &mut Criterion) {
     g.finish();
 }
 
+/// The cycle-engine keys the `mtbench` workloads serve (`engine-sweep`
+/// and `faulty-mixed`), on the daemon's configuration: MULTITREE on the
+/// 4x4 torus at 32-128 KiB, 2D-RING on the 8x8 torus at 64-128 KiB and
+/// DBTREE on the 4x4 mesh at 32-64 KiB, each one prepared run with a
+/// warm scratch. Every id ends in the run's flit-hops, so a median
+/// divides into ns per flit-hop.
+fn cycle_keys(c: &mut Criterion) {
+    let engine = CycleEngine::new(NetworkConfig::paper_default());
+    let torus = Topology::torus(4, 4);
+    let torus8 = Topology::torus(8, 8);
+    let mesh = Topology::mesh(4, 4);
+    #[rustfmt::skip]
+    let keys: [(&str, &Topology, &dyn AllReduce, &[u64]); 3] = [
+        ("torus4x4_multitree", &torus, &MultiTree::default(), &[32, 64, 128]),
+        ("torus8x8_2dring", &torus8, &Ring2D, &[64, 128]),
+        ("mesh4x4_dbtree", &mesh, &DbTree::default(), &[32, 64]),
+    ];
+    let mut g = c.benchmark_group("cycle_keys");
+    g.sample_size(10);
+    for (name, topo, algo, sizes) in keys {
+        let s = algo.build(topo).unwrap();
+        let prep = PreparedSchedule::new(&s, topo).unwrap();
+        let mut scratch = SimScratch::new();
+        for &kib in sizes {
+            let mut run = || {
+                engine
+                    .run_prepared_with(&prep, kib << 10, &mut scratch, &mut NoopObserver)
+                    .unwrap()
+                    .sim
+            };
+            let flit_hops = run().flit_hops;
+            g.bench_function(format!("{name}_{kib}KiB/{flit_hops}_flit_hops"), |b| {
+                b.iter(&mut run)
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = flow_engine, prepared_sweep, cycle_engine, cycle_sweep_16node
+    targets = flow_engine, prepared_sweep, cycle_engine, cycle_sweep_16node, cycle_keys
 }
 criterion_main!(benches);

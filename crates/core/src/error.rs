@@ -40,6 +40,12 @@ pub enum AlgorithmError {
         /// What is wrong.
         detail: String,
     },
+    /// A simulator's network configuration cannot be simulated (e.g. a
+    /// single virtual channel, or a packet payload below one flit).
+    InvalidConfig {
+        /// What is wrong.
+        detail: String,
+    },
 }
 
 impl fmt::Display for AlgorithmError {
@@ -59,6 +65,9 @@ impl fmt::Display for AlgorithmError {
             }
             AlgorithmError::InvalidFaultPlan { detail } => {
                 write!(f, "invalid fault plan: {detail}")
+            }
+            AlgorithmError::InvalidConfig { detail } => {
+                write!(f, "invalid network configuration: {detail}")
             }
         }
     }

@@ -1,6 +1,8 @@
 //! Network and NI configuration (paper Table III).
 
+use multitree::AlgorithmError;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Flow-control mode (paper §IV-B, Fig. 7).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,7 +58,111 @@ pub struct NetworkConfig {
     pub sw_launch_overhead_ns: f64,
 }
 
+/// Why a [`NetworkConfig`] cannot be simulated.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConfigError {
+    /// `num_vcs` lies outside `2..=`[`NetworkConfig::MAX_VCS`]: a
+    /// dateline crossing escapes to the odd VC of the packet's pair, and
+    /// the cycle engine's per-link eject-ready masks hold one bit per VC.
+    VirtualChannels {
+        /// The configured count.
+        num_vcs: u32,
+    },
+    /// `flit_bytes` is zero.
+    ZeroFlitBytes,
+    /// `payload_bytes < flit_bytes`: a packet must carry at least one
+    /// data flit.
+    PayloadBelowFlit {
+        /// The configured packet payload.
+        payload_bytes: u32,
+        /// The configured flit size.
+        flit_bytes: u32,
+    },
+    /// `vc_buffer_flits` is zero: no flit could ever take a credit.
+    ZeroBufferDepth,
+    /// A rate that must be finite and positive is not.
+    NonPositiveRate {
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::VirtualChannels { num_vcs } => write!(
+                f,
+                "num_vcs must be in 2..={}, got {num_vcs}",
+                NetworkConfig::MAX_VCS
+            ),
+            ConfigError::ZeroFlitBytes => write!(f, "flit_bytes must be at least 1"),
+            ConfigError::PayloadBelowFlit {
+                payload_bytes,
+                flit_bytes,
+            } => write!(
+                f,
+                "payload_bytes ({payload_bytes}) must be at least flit_bytes ({flit_bytes})"
+            ),
+            ConfigError::ZeroBufferDepth => write!(f, "vc_buffer_flits must be at least 1"),
+            ConfigError::NonPositiveRate { field, value } => {
+                write!(f, "{field} must be finite and positive, got {value}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<ConfigError> for AlgorithmError {
+    fn from(e: ConfigError) -> Self {
+        AlgorithmError::InvalidConfig {
+            detail: e.to_string(),
+        }
+    }
+}
+
 impl NetworkConfig {
+    /// Most virtual channels per link the cycle engine supports (one bit
+    /// each in its per-link eject-ready masks).
+    pub const MAX_VCS: u32 = 64;
+
+    /// Checks that both engines can simulate this configuration; every
+    /// engine entry point calls it before building any state.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] found.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(2..=Self::MAX_VCS).contains(&self.num_vcs) {
+            return Err(ConfigError::VirtualChannels {
+                num_vcs: self.num_vcs,
+            });
+        }
+        if self.flit_bytes == 0 {
+            return Err(ConfigError::ZeroFlitBytes);
+        }
+        if self.payload_bytes < self.flit_bytes {
+            return Err(ConfigError::PayloadBelowFlit {
+                payload_bytes: self.payload_bytes,
+                flit_bytes: self.flit_bytes,
+            });
+        }
+        if self.vc_buffer_flits == 0 {
+            return Err(ConfigError::ZeroBufferDepth);
+        }
+        for (field, value) in [
+            ("link_bandwidth", self.link_bandwidth),
+            ("router_clock_ghz", self.router_clock_ghz),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(ConfigError::NonPositiveRate { field, value });
+            }
+        }
+        Ok(())
+    }
+
     /// The paper's Table III configuration with packet-based flow control.
     pub fn paper_default() -> Self {
         NetworkConfig {

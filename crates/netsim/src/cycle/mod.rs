@@ -28,10 +28,33 @@
 //!   per-cycle arrival lists indexed by `arrival % (latency + 1)` — every
 //!   wire delay is the same constant), so arrival processing touches
 //!   exactly the arriving flits instead of scanning every link.
+//! * An arriving flit is **ejected at arrival**, never touching its
+//!   buffer, when it is the flit the router stage would eject this cycle:
+//!   it terminates at this vertex, its (link, VC) buffer is empty, no
+//!   lower VC of the link has an eject-ready front and (under faults) the
+//!   destination NI is alive. It claims its input link and returns its
+//!   credit in the same cycle, exactly as a buffered ejection would;
+//!   ejection runs before output arbitration at a vertex and a link
+//!   delivers at most one flit per cycle, so nothing else can observe the
+//!   difference. Most flits of contention-free schedules (MULTITREE, rings)
+//!   leave this way. Runs with an enabled observer keep the buffered path,
+//!   so their per-flit hooks are unchanged.
+//! * Each input link keeps an **eject-ready VC mask** (bit `vc` set while
+//!   that buffer's front terminates here), maintained wherever the
+//!   front-info cache changes. Ejection takes the lowest set bit instead
+//!   of probing every VC, a per-vertex count of set bits skips vertices
+//!   with nothing to eject, and the same mask decides whether an arriving
+//!   flit may bypass its buffer.
 //! * Routers are visited through an **active-vertex worklist** (a bitset
 //!   iterated in ascending order, so arbitration order matches a dense
 //!   scan bit for bit): a vertex is live while it holds buffered flits
 //!   or pending injection streams, and is lazily retired when drained.
+//! * An NI is **woken only when it can act**: when one of its events has
+//!   its last dependency cleared, when its lockstep step boundary arrives
+//!   (a timer heap ordered by cycle), or in the cycle after it issues
+//!   with its boundary already past. A visit in any other cycle provably
+//!   does nothing, so the NIs woken in a cycle are visited in ascending
+//!   node order and issue exactly what a visit of every NI would.
 //! * When the network is **quiescent** — no buffered flits, no pending
 //!   injection streams, no deliveries this cycle — the clock jumps
 //!   straight to the next arrival front or lockstep step boundary
@@ -39,7 +62,9 @@
 //!   latencies. Every skipped cycle is provably a no-op, so results are
 //!   bit-identical to the dense reference engine
 //!   ([`CycleEngine::run_reference_detailed`], enforced by
-//!   `tests/prepared_equivalence.rs`).
+//!   `tests/prepared_equivalence.rs`), and every report of the golden
+//!   corpus, healthy and faulted, is pinned bit for bit by
+//!   `crates/netsim/tests/golden_reports.rs`.
 //! * All simulation state (buffers, calendars, messages, NI tables,
 //!   worklists) lives in [`SimScratch`] and is reused across runs; the
 //!   steady-state loop performs **no heap allocation**, and per-event
@@ -58,7 +83,8 @@ use crate::scratch::{reset_to, SimScratch};
 use crate::Engine;
 use multitree::{AlgorithmError, CommSchedule, PreparedSchedule};
 use mt_topology::Topology;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// The cycle-level engine. See the [module docs](self).
 #[derive(Debug, Clone)]
@@ -116,6 +142,15 @@ pub(crate) struct CycleScratch {
     /// dereferencing scattered heap deques and message paths — the
     /// probes vastly outnumber the pushes and pops that maintain it.
     front_info: Vec<FrontInfo>,
+    /// Per input link: bit `vc` is set while the (link, vc) buffer's
+    /// front flit terminates here (its front info is [`FRONT_EJECT`]),
+    /// kept in step by `set_front`. Ejection picks the lowest set bit
+    /// instead of probing every VC, and an arriving flit may bypass its
+    /// buffer only when no lower VC is eject-ready.
+    eject_mask: Vec<u64>,
+    /// Per vertex: eject-ready fronts across its input links (set bits
+    /// of their `eject_mask`s); ejection skips vertices with none.
+    eject_ready: Vec<u32>,
     /// Per link (as output): number of buffered head flits currently
     /// routed to it (fronts whose cached `next_link` is this link).
     /// When zero and the link's injection queue is empty, output
@@ -163,6 +198,16 @@ pub(crate) struct CycleScratch {
     active_vertices: Vec<u64>,
     /// Bitset over nodes whose NI still has unissued events.
     ni_active: Vec<u64>,
+    /// Bitset over nodes whose NI is visited in the next processed
+    /// cycle: a dependency of one of its events just cleared, or it
+    /// issued and its step boundary has already passed.
+    ni_wake: Vec<u64>,
+    /// Pending lockstep boundaries as (cycle, node), earliest first: an
+    /// NI that finished its step waits here for `step_start + est`.
+    ni_timers: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per node: the cycle of its pending boundary timer, or `u64::MAX`
+    /// (at most one timer per node is ever queued).
+    ni_timer_at: Vec<u64>,
     /// Bitset over input links already used this cycle (crossbar
     /// constraint), cleared each cycle.
     input_used: Vec<u64>,
@@ -176,6 +221,8 @@ impl CycleScratch {
     pub(crate) fn capacity_elements(&self) -> usize {
         self.buffers.iter().map(VecDeque::capacity).sum::<usize>()
             + self.front_info.capacity()
+            + self.eject_mask.capacity()
+            + self.eject_ready.capacity()
             + self.cand_count.capacity()
             + self.credits.capacity()
             + self.cal_flits.iter().map(Vec::capacity).sum::<usize>()
@@ -197,6 +244,9 @@ impl CycleScratch {
             + self.vertex_work.capacity()
             + self.active_vertices.capacity()
             + self.ni_active.capacity()
+            + self.ni_wake.capacity()
+            + self.ni_timers.capacity()
+            + self.ni_timer_at.capacity()
             + self.input_used.capacity()
             + self.newly_delivered.capacity()
     }
@@ -294,6 +344,11 @@ struct Sim<'a, 'p, O: SimObserver, const F: bool> {
     delay: u64,
     /// Calendar ring size, `delay + 1`.
     wheel: u64,
+    /// Calendar slot where anything sent this cycle lands,
+    /// `(clock + delay) % wheel`, refreshed once per processed cycle.
+    send_slot: usize,
+    /// `cfg.cycle_ns()`, for the fault queries' ns timestamps.
+    cycle_ns: f64,
     /// Total flits sitting in input buffers.
     buffered: u64,
     /// Total issued-but-unfinished injection streams.
@@ -303,6 +358,20 @@ struct Sim<'a, 'p, O: SimObserver, const F: bool> {
     /// Credits in flight on wires (calendar entries).
     inflight_credits: u64,
     max_buffer: usize,
+}
+
+impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
+    /// The first cycle `nic` may leave its current step once the step's
+    /// events are all issued: the step start plus the lockstep estimate
+    /// (footnote 4), or the step start itself with lockstep off.
+    fn step_boundary(&self, nic: Nic) -> u64 {
+        let est = if self.cfg.lockstep {
+            self.s.step_est[nic.cur_step as usize]
+        } else {
+            0
+        };
+        nic.step_start + est
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -359,6 +428,8 @@ impl CycleEngine {
     ///
     /// # Errors
     ///
+    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
+    /// configuration fails [`NetworkConfig::validate`].
     /// Returns [`AlgorithmError::MalformedSchedule`] if the simulation
     /// exceeds the cycle watchdog.
     pub fn run_prepared_with<O: SimObserver>(
@@ -395,6 +466,8 @@ impl CycleEngine {
     ///
     /// # Errors
     ///
+    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
+    /// configuration fails [`NetworkConfig::validate`].
     /// Returns [`AlgorithmError::MalformedSchedule`] if a run exceeds
     /// the cycle watchdog; payloads after the failing one are not
     /// attempted.
@@ -429,6 +502,8 @@ impl CycleEngine {
     ///
     /// # Errors
     ///
+    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
+    /// configuration fails [`NetworkConfig::validate`].
     /// Returns [`AlgorithmError::InvalidFaultPlan`] if the plan
     /// references links/nodes outside the topology, and
     /// [`AlgorithmError::MalformedSchedule`] for schedules that are
@@ -507,6 +582,7 @@ impl CycleEngine {
         faults: &CompiledFaults,
         fault_times: &[f64],
     ) -> Result<(SimReport, CoreStats, Option<FaultReport>), AlgorithmError> {
+        self.cfg.validate()?;
         let topo = prep.topology();
         let schedule = prep.schedule();
         let cfg = &self.cfg;
@@ -617,6 +693,8 @@ impl CycleEngine {
 
         s.nics.clear();
         reset_to(&mut s.ni_active, nn.div_ceil(64), 0);
+        s.ni_timers.clear();
+        reset_to(&mut s.ni_timer_at, nn, u64::MAX);
         for node in 0..nn {
             let row = &s.ni_order[s.ni_offsets[node] as usize..s.ni_offsets[node + 1] as usize];
             let unissued = row
@@ -633,6 +711,9 @@ impl CycleEngine {
                 bit_set(&mut s.ni_active, node);
             }
         }
+        // every NI with work is visited in the first cycle
+        s.ni_wake.clear();
+        s.ni_wake.extend_from_slice(&s.ni_active);
 
         // --- network state
         let raw_latency = cfg.link_latency_cycles() + u64::from(cfg.router_pipeline_cycles);
@@ -640,6 +721,8 @@ impl CycleEngine {
         let wheel = delay + 1;
         reset_queues(&mut s.buffers, nl * vcs);
         reset_to(&mut s.front_info, nl * vcs, FrontInfo::default());
+        reset_to(&mut s.eject_mask, nl, 0);
+        reset_to(&mut s.eject_ready, nv, 0);
         reset_to(&mut s.cand_count, nl, 0);
         reset_to(&mut s.credits, nl * vcs, cfg.vc_buffer_flits);
         reset_lists(&mut s.cal_flits, wheel as usize);
@@ -706,6 +789,8 @@ impl CycleEngine {
             clock: 0,
             delay,
             wheel,
+            send_slot: 0,
+            cycle_ns: cfg.cycle_ns(),
             buffered: 0,
             injecting: 0,
             inflight_flits: 0,
@@ -716,6 +801,10 @@ impl CycleEngine {
         let mut delivered_count = 0usize;
         let mut completion_cycle = 0u64;
         let mut stalled = false;
+        // calendar slot of the current cycle, `clock % wheel`, stepped
+        // without a division per cycle
+        let ring = wheel as usize;
+        let mut slot = 0usize;
 
         while delivered_count < n {
             if sim.clock > self.max_cycles {
@@ -739,7 +828,13 @@ impl CycleEngine {
                 break;
             }
             let now = sim.clock;
-            let slot = (now % sim.wheel) as usize;
+            // (now + delay) % wheel, as wheel = delay + 1
+            sim.send_slot = if slot == 0 { ring - 1 } else { slot - 1 };
+            // the crossbar's per-cycle input claims and the delivery list
+            // reset before the arrivals: a flit ejected on arrival
+            // already claims its input link and may finish its message
+            sim.s.input_used.iter_mut().for_each(|w| *w = 0);
+            sim.s.newly_delivered.clear();
 
             // 1. credit arrivals (this cycle's calendar slot)
             let mut credit_list = std::mem::take(&mut sim.s.cal_credits[slot]);
@@ -750,16 +845,20 @@ impl CycleEngine {
             credit_list.clear();
             sim.s.cal_credits[slot] = credit_list;
 
-            // 2. link arrivals -> input buffers
+            // 2. link arrivals: ejected on the spot when the router stage
+            // would eject them this cycle anyway, else into input buffers
             let mut flit_list = std::mem::take(&mut sim.s.cal_flits[slot]);
             sim.inflight_flits -= flit_list.len() as u64;
-            sim.buffered += flit_list.len() as u64;
             for &(l, flit) in &flit_list {
+                if !O::ENABLED && sim.eject_on_arrival(l, flit) {
+                    continue;
+                }
+                sim.buffered += 1;
                 let idx = l as usize * vcs + flit.vc as usize;
                 let new_len = sim.buf_push(idx, flit);
                 if new_len == 1 {
                     let fi = sim.front_info_of(&flit);
-                    sim.set_front(idx, fi);
+                    sim.set_front(l as usize, flit.vc, fi);
                 }
                 if O::ENABLED {
                     sim.obs.on_buffer_level(now, l, flit.vc, new_len);
@@ -773,16 +872,29 @@ impl CycleEngine {
             sim.s.cal_flits[slot] = flit_list;
 
             // 3. NI issue: in-order from the schedule table, gated by
-            // dependencies and the lockstep timestep counter. Only nodes
-            // with unissued events are visited.
-            for w in 0..sim.s.ni_active.len() {
-                let mut bits = sim.s.ni_active[w];
+            // dependencies and the lockstep timestep counter. Only NIs
+            // that can act are visited: those whose boundary timer is
+            // due, and those woken for this cycle (a dependency cleared,
+            // or they issued with their step boundary already past).
+            while let Some(&Reverse((at, node))) = sim.s.ni_timers.peek() {
+                if at > now {
+                    break;
+                }
+                sim.s.ni_timers.pop();
+                sim.s.ni_timer_at[node as usize] = u64::MAX;
+                bit_set(&mut sim.s.ni_wake, node as usize);
+            }
+            for w in 0..sim.s.ni_wake.len() {
+                // a visit only ever re-wakes its own node, for the next
+                // cycle, so taking the word leaves this cycle's set intact
+                let mut bits = std::mem::take(&mut sim.s.ni_wake[w]);
                 while bits != 0 {
                     let node = (w << 6) | bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     // a crashed host's NI issues nothing further (its
-                    // unissued events simply never enter the network)
-                    if F && sim.faults.node_dead(node as u32, now as f64 * cfg.cycle_ns()) {
+                    // unissued events simply never enter the network);
+                    // crashes are permanent, so it is never woken again
+                    if F && sim.faults.node_dead(node as u32, now as f64 * sim.cycle_ns) {
                         continue;
                     }
                     let end = sim.s.ni_offsets[node + 1];
@@ -792,12 +904,7 @@ impl CycleEngine {
                         if nic.cur_step > num_steps {
                             break;
                         }
-                        let est = if cfg.lockstep {
-                            sim.s.step_est[nic.cur_step as usize]
-                        } else {
-                            0
-                        };
-                        if nic.unissued_in_step == 0 && now >= nic.step_start + est {
+                        if nic.unissued_in_step == 0 && now >= sim.step_boundary(nic) {
                             let next = nic.cur_step + 1;
                             // remaining row entries are (step, id)-sorted,
                             // so the next step's events sit in a prefix
@@ -861,22 +968,42 @@ impl CycleEngine {
                     }
                     if sim.s.ni_cursor[node] == end {
                         bit_clear(&mut sim.s.ni_active, node);
+                        continue;
+                    }
+                    // schedule the next visit. An NI still owing events of
+                    // its step waits for a dependency to clear (step 5
+                    // wakes it); one done with its step waits for the
+                    // boundary, which may already be past if it issued
+                    // its last event just now.
+                    let nic = sim.s.nics[node];
+                    if nic.unissued_in_step == 0 && nic.cur_step <= num_steps {
+                        let boundary = sim.step_boundary(nic);
+                        if boundary <= now {
+                            bit_set(&mut sim.s.ni_wake, node);
+                        } else if sim.s.ni_timer_at[node] != boundary {
+                            sim.s.ni_timer_at[node] = boundary;
+                            sim.s.ni_timers.push(Reverse((boundary, node as u32)));
+                        }
                     }
                 }
             }
 
             // 4. routers: ejection + output arbitration over the
             // active-vertex worklist
-            sim.s.newly_delivered.clear();
             sim.router_stage(vcs);
 
-            // 5. completions clear dependencies
+            // 5. completions clear dependencies, waking the NIs whose
+            // events become ready
             for k in 0..sim.s.newly_delivered.len() {
                 let m = sim.s.newly_delivered[k] as usize;
                 completion_cycle = completion_cycle.max(now);
                 delivered_count += 1;
                 for &dep_idx in prep.dependents(m) {
-                    remaining_deps[dep_idx as usize] -= 1;
+                    let deps = &mut remaining_deps[dep_idx as usize];
+                    *deps -= 1;
+                    if *deps == 0 {
+                        bit_set(&mut sim.s.ni_wake, prep.src_index(dep_idx as usize));
+                    }
                 }
             }
 
@@ -884,8 +1011,9 @@ impl CycleEngine {
             // straight to the next arrival front or lockstep boundary
             if sim.buffered == 0 && sim.injecting == 0 && sim.s.newly_delivered.is_empty() {
                 let mut wake = u64::MAX;
+                let mut sl = slot;
                 for d in 1..=sim.delay {
-                    let sl = ((now + d) % sim.wheel) as usize;
+                    sl = if sl + 1 == ring { 0 } else { sl + 1 };
                     if !sim.s.cal_flits[sl].is_empty() || !sim.s.cal_credits[sl].is_empty() {
                         wake = now + d;
                         break;
@@ -900,8 +1028,7 @@ impl CycleEngine {
                             let node = (w << 6) | bits.trailing_zeros() as usize;
                             bits &= bits - 1;
                             // dead NIs never issue again: no wake from them
-                            if F && sim.faults.node_dead(node as u32, now as f64 * cfg.cycle_ns())
-                            {
+                            if F && sim.faults.node_dead(node as u32, now as f64 * sim.cycle_ns) {
                                 continue;
                             }
                             let nic = sim.s.nics[node];
@@ -929,6 +1056,7 @@ impl CycleEngine {
                     sim.clock = self.max_cycles + 1;
                 } else {
                     sim.clock = wake;
+                    slot = (wake % sim.wheel) as usize;
                     if F {
                         // an idle network is waiting by design (wire
                         // latency or a lockstep boundary), not wedged:
@@ -938,6 +1066,7 @@ impl CycleEngine {
                 }
             } else {
                 sim.clock = now + 1;
+                slot = if slot + 1 == ring { 0 } else { slot + 1 };
             }
         }
 

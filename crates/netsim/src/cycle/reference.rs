@@ -131,6 +131,7 @@ impl CycleEngine {
         schedule: &CommSchedule,
         total_bytes: u64,
     ) -> Result<(SimReport, CycleStats), AlgorithmError> {
+        self.config().validate()?;
         let prep = PreparedSchedule::new(schedule, topo)?;
         let cfg = self.config();
         let events = prep.events();

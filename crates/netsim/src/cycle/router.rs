@@ -19,7 +19,7 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
     /// time-stamped in ns). Only called when `F` is on.
     #[inline]
     fn now_ns(&self) -> f64 {
-        self.clock as f64 * self.cfg.cycle_ns()
+        self.clock as f64 * self.cycle_ns
     }
 
     /// Whether `out` cannot transmit this cycle: pacing (static link
@@ -71,15 +71,15 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
     /// One cycle of all (active) routers: ejection, then output
     /// arbitration, under the crossbar constraint of one flit per input
     /// and per output.
+    ///
+    /// One flit per input link per cycle (`input_used`, cleared by the
+    /// main loop before the arrivals); injection is not globally
+    /// throttled — the paper's direct-network NI bandwidth "matches the
+    /// network bandwidth of the attached router" (§V-A), so a node may
+    /// feed all its output ports in the same cycle (each output still
+    /// moves at most one flit per cycle). Indirect-network nodes have a
+    /// single uplink, which serializes their injection naturally.
     pub(super) fn router_stage(&mut self, vcs: usize) {
-        // one flit per input link per cycle; injection is not globally
-        // throttled — the paper's direct-network NI bandwidth "matches the
-        // network bandwidth of the attached router" (§V-A), so a node may
-        // feed all its output ports in the same cycle (each output still
-        // moves at most one flit per cycle). Indirect-network nodes have a
-        // single uplink, which serializes their injection naturally.
-        self.s.input_used.iter_mut().for_each(|w| *w = 0);
-
         // Snapshot each word of the active bitset: the router stage only
         // ever *clears* bits (transmits land in the calendar, not in
         // buffers), so nothing is missed, and vertices drained by an
@@ -90,7 +90,9 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
                 let v = (w << 6) | bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let vertex = self.topo.vertex_at(v);
-                self.eject_stage(vertex, vcs);
+                if self.s.eject_ready[v] > 0 {
+                    self.eject_stage(vertex, vcs);
+                }
 
                 // --- output arbitration per outgoing link
                 for &out_link in self.topo.out_links(vertex) {
@@ -108,50 +110,81 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
         }
     }
 
+    /// Whether the NI at `vertex` is a crashed host, which stops
+    /// consuming: flits for it stay buffered (and back the network up)
+    /// until the watchdog fires. Only called when `F` is on.
+    #[inline]
+    fn ejection_dead(&self, vertex: Vertex) -> bool {
+        vertex
+            .as_node()
+            .is_some_and(|n| self.faults.node_dead(n.index() as u32, self.now_ns()))
+    }
+
     /// Ejection: any input whose front flit terminates at `vertex` (at
-    /// most one flit per input link per cycle). The scan reads only the
-    /// contiguous front-info cache, in ascending VC order — the same
-    /// order a dense `0..vcs` buffer scan would find them.
+    /// most one flit per input link per cycle), on the lowest
+    /// eject-ready VC — the one a dense `0..vcs` scan would find first.
     fn eject_stage(&mut self, vertex: Vertex, vcs: usize) {
-        // a crashed host's NI stops consuming: arriving flits stay
-        // buffered (and back the network up) until the watchdog fires
-        if F
-            && vertex
-                .as_node()
-                .is_some_and(|n| self.faults.node_dead(n.index() as u32, self.now_ns()))
-        {
+        if F && self.ejection_dead(vertex) {
             return;
         }
         for &in_link in self.topo.in_links(vertex) {
-            if bit_get(&self.s.input_used, in_link.index()) {
+            let mask = self.s.eject_mask[in_link.index()];
+            if mask == 0 || bit_get(&self.s.input_used, in_link.index()) {
                 continue;
             }
-            let base = in_link.index() * vcs;
-            for vc in 0..vcs {
-                let idx = base + vc;
-                if self.s.front_info[idx].next_link != FRONT_EJECT {
-                    continue;
-                }
-                let flit = self.buf_pop(idx).expect("cached front exists");
-                self.note_buffer_pop(in_link.index(), idx);
-                self.return_credit(in_link, vc as u8);
-                bit_set(&mut self.s.input_used, in_link.index());
-                if F {
-                    self.last_progress = self.clock;
-                }
-                if O::ENABLED {
-                    self.obs
-                        .on_flit_ejected(self.clock, in_link.index() as u32, vc as u8, flit.msg);
-                }
-                let m = &mut self.s.msgs[flit.msg as usize];
-                m.ejected_flits += 1;
-                if m.ejected_flits == m.total_flits {
-                    self.s.newly_delivered.push(flit.msg);
-                    if O::ENABLED {
-                        self.obs.on_message_delivered(self.clock, flit.msg);
-                    }
-                }
-                break;
+            let vc = mask.trailing_zeros() as u8;
+            let idx = in_link.index() * vcs + vc as usize;
+            let flit = self.buf_pop(idx).expect("eject-ready front exists");
+            self.note_buffer_pop(in_link.index(), vc);
+            self.eject(in_link, vc, flit);
+        }
+    }
+
+    /// Ejects a flit arriving on `link` without buffering it, when it is
+    /// the flit `eject_stage` would pick this cycle: it terminates here,
+    /// its buffer is empty, no lower VC of the link is eject-ready, and
+    /// the destination NI is alive. Nothing can change those facts
+    /// between the arrival and the router stage (ejection runs before
+    /// output arbitration at a vertex, and a link delivers at most one
+    /// flit per cycle), so the run is unchanged — minus a buffer push
+    /// and pop, two front-cache updates and the vertex's worklist churn.
+    /// Returns whether the flit was ejected.
+    pub(super) fn eject_on_arrival(&mut self, link: u32, flit: Flit) -> bool {
+        let l = link as usize;
+        if flit.route_pos != flit.hops
+            || self.s.eject_mask[l] & ((1u64 << flit.vc) - 1) != 0
+            || !self.s.buffers[l * self.cfg.num_vcs as usize + flit.vc as usize].is_empty()
+        {
+            return false;
+        }
+        if F && self.ejection_dead(self.topo.link(LinkId::new(l)).dst) {
+            return false;
+        }
+        // the flit would have been pushed into its empty buffer
+        self.max_buffer = self.max_buffer.max(1);
+        self.eject(LinkId::new(l), flit.vc, flit);
+        true
+    }
+
+    /// Consumes `flit`, taken from input (`in_link`, `vc`) this cycle:
+    /// returns its credit, claims the input and counts it towards its
+    /// message's delivery.
+    fn eject(&mut self, in_link: LinkId, vc: u8, flit: Flit) {
+        self.return_credit(in_link, vc);
+        bit_set(&mut self.s.input_used, in_link.index());
+        if F {
+            self.last_progress = self.clock;
+        }
+        if O::ENABLED {
+            self.obs
+                .on_flit_ejected(self.clock, in_link.index() as u32, vc, flit.msg);
+        }
+        let m = &mut self.s.msgs[flit.msg as usize];
+        m.ejected_flits += 1;
+        if m.ejected_flits == m.total_flits {
+            self.s.newly_delivered.push(flit.msg);
+            if O::ENABLED {
+                self.obs.on_message_delivered(self.clock, flit.msg);
             }
         }
     }
@@ -180,7 +213,7 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
                     return; // bubble: upstream hasn't delivered yet
                 };
                 debug_assert!(!flit.kind.is_head(), "lock must stream body/tail flits");
-                self.note_buffer_pop(link as usize, in_idx);
+                self.note_buffer_pop(link as usize, vc);
                 self.return_credit(LinkId::new(link as usize), vc);
                 bit_set(&mut self.s.input_used, link as usize);
                 self.transmit(out_link, flit, lock.out_vc);
@@ -240,6 +273,10 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
         {
             return;
         }
+        // likewise when the link itself cannot transmit this cycle
+        if (F || self.paced) && self.link_blocked(out_link) {
+            return; // link dead, flapping or pacing-held
+        }
         let has_inj = usize::from(
             vertex
                 .as_node()
@@ -248,6 +285,14 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
         let in_links = self.topo.in_links(vertex);
         let n = has_inj + in_links.len() * vcs;
         if n == 0 {
+            return;
+        }
+        if self.s.cand_count[out_link.index()] == 0 {
+            // no buffered head routes here, so only the injection
+            // candidate (index 0) can start, whatever the scan's start
+            if self.try_start(Source::Injection, out_link) {
+                self.s.rr[out_link.index()] = (1 % n) as u32;
+            }
             return;
         }
         let start = self.s.rr[out_link.index()] as usize % n;
@@ -268,11 +313,9 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
         }
     }
 
-    /// Attempts to start the packet at `cand`'s head on `out_link`.
+    /// Attempts to start the packet at `cand`'s head on `out_link`
+    /// (which `allocate_stream` has checked can transmit this cycle).
     fn try_start(&mut self, cand: Source, out_link: LinkId) -> bool {
-        if (F || self.paced) && self.link_blocked(out_link) {
-            return false; // link dead, flapping or pacing-held
-        }
         let vcs = self.cfg.num_vcs as usize;
         match cand {
             Source::Buffer { link, vc } => {
@@ -296,7 +339,7 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
                     return false;
                 }
                 let mut flit = self.buf_pop(in_idx).expect("cached front exists");
-                self.note_buffer_pop(link as usize, in_idx);
+                self.note_buffer_pop(link as usize, vc);
                 self.return_credit(LinkId::new(link as usize), vc);
                 bit_set(&mut self.s.input_used, link as usize);
                 flit.crossed_dateline =
@@ -374,18 +417,19 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
         }
     }
 
-    /// Bookkeeping for a flit leaving an input buffer: the buffered-flit
-    /// total and the buffer's vertex (the popping router) lose one unit,
-    /// and the front-info cache is refreshed from the new front.
-    fn note_buffer_pop(&mut self, link: usize, in_idx: usize) {
+    /// Bookkeeping for a flit leaving input buffer (`link`, `vc`): the
+    /// buffered-flit total and the buffer's vertex (the popping router)
+    /// lose one unit, and the front-info cache is refreshed from the new
+    /// front.
+    fn note_buffer_pop(&mut self, link: usize, vc: u8) {
         self.buffered -= 1;
         self.s.vertex_work[self.s.link_dst[link] as usize] -= 1;
+        let in_idx = link * self.cfg.num_vcs as usize + vc as usize;
         if O::ENABLED {
-            let vcs = self.cfg.num_vcs as usize;
             self.obs.on_buffer_level(
                 self.clock,
                 link as u32,
-                (in_idx % vcs) as u8,
+                vc,
                 self.s.buffers[in_idx].len() as u32,
             );
         }
@@ -393,19 +437,30 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
             Some(f) => self.front_info_of(f),
             None => FrontInfo::default(),
         };
-        self.set_front(in_idx, fi);
+        self.set_front(link, vc, fi);
     }
 
-    /// Installs a new front-info entry, keeping the per-output candidate
-    /// counts in sync (a front counts while it is a startable head routed
-    /// to some output link).
-    pub(super) fn set_front(&mut self, in_idx: usize, fi: FrontInfo) {
+    /// Installs a new front-info entry for buffer (`link`, `vc`), keeping
+    /// the per-output candidate counts (a front counts while it is a
+    /// startable head routed to some output link) and the link's
+    /// eject-ready mask in sync.
+    pub(super) fn set_front(&mut self, link: usize, vc: u8, fi: FrontInfo) {
+        let in_idx = link * self.cfg.num_vcs as usize + vc as usize;
         let old = self.s.front_info[in_idx].next_link;
         if old < FRONT_EJECT {
             self.s.cand_count[old as usize] -= 1;
         }
         if fi.next_link < FRONT_EJECT {
             self.s.cand_count[fi.next_link as usize] += 1;
+        }
+        if (old == FRONT_EJECT) != (fi.next_link == FRONT_EJECT) {
+            self.s.eject_mask[link] ^= 1 << vc;
+            let ready = &mut self.s.eject_ready[self.s.link_dst[link] as usize];
+            if fi.next_link == FRONT_EJECT {
+                *ready += 1;
+            } else {
+                *ready -= 1;
+            }
         }
         self.s.front_info[in_idx] = fi;
     }
@@ -474,8 +529,7 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
     }
 
     fn return_credit(&mut self, link: LinkId, vc: u8) {
-        let slot = ((self.clock + self.delay) % self.wheel) as usize;
-        self.s.cal_credits[slot].push((link.index() as u32, vc));
+        self.s.cal_credits[self.send_slot].push((link.index() as u32, vc));
         self.inflight_credits += 1;
     }
 
@@ -519,8 +573,7 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
             self.obs
                 .on_link_tx(self.clock, out_link.index() as u32, flit.vc, flit.msg);
         }
-        let slot = ((self.clock + self.delay) % self.wheel) as usize;
-        self.s.cal_flits[slot].push((out_link.index() as u32, flit));
+        self.s.cal_flits[self.send_slot].push((out_link.index() as u32, flit));
         self.inflight_flits += 1;
     }
 

@@ -58,6 +58,8 @@ impl FlowEngine {
     ///
     /// # Errors
     ///
+    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
+    /// configuration fails [`NetworkConfig::validate`].
     /// Returns [`AlgorithmError::MalformedSchedule`] if the simulation
     /// deadlocks (a dependency cycle hidden from static validation).
     pub fn run_prepared_with<O: SimObserver>(
@@ -96,6 +98,8 @@ impl FlowEngine {
     ///
     /// # Errors
     ///
+    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
+    /// configuration fails [`NetworkConfig::validate`].
     /// Returns [`AlgorithmError::MalformedSchedule`] if a run deadlocks;
     /// payloads after the failing one are not attempted.
     pub fn run_prepared_batch_with<O: SimObserver>(
@@ -142,6 +146,8 @@ impl FlowEngine {
     ///
     /// # Errors
     ///
+    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
+    /// configuration fails [`NetworkConfig::validate`].
     /// Returns [`AlgorithmError::InvalidFaultPlan`] if the plan
     /// references links/nodes outside the topology, and
     /// [`AlgorithmError::MalformedSchedule`] for schedules that are
@@ -196,6 +202,8 @@ impl FlowEngine {
     ///
     /// # Errors
     ///
+    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
+    /// configuration fails [`NetworkConfig::validate`].
     /// Returns [`AlgorithmError::MalformedSchedule`] if the simulation
     /// deadlocks (a dependency cycle hidden from static validation).
     pub fn run_prepared_fair_with<O: SimObserver>(
@@ -341,6 +349,7 @@ impl FlowEngine {
         fault_times: &[f64],
         reuse_framings: bool,
     ) -> Result<(SimReport, Option<FaultReport>), AlgorithmError> {
+        self.cfg.validate()?;
         let topo = prep.topology();
         let cfg = &self.cfg;
         let flit_ns = cfg.flit_time_ns();
@@ -586,6 +595,8 @@ impl FlowEngine {
     ///
     /// # Errors
     ///
+    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
+    /// configuration fails [`NetworkConfig::validate`].
     /// Returns [`AlgorithmError::MalformedSchedule`] if the simulation
     /// deadlocks (a dependency cycle hidden from static validation).
     pub fn run_prepared_sharded_with<O: SimObserver>(
@@ -615,6 +626,7 @@ impl FlowEngine {
         plan: &ShardPlan,
         obs: &mut O,
     ) -> Result<SimReport, AlgorithmError> {
+        self.cfg.validate()?;
         let topo = prep.topology();
         assert_eq!(
             plan.num_nodes(),
@@ -1059,6 +1071,7 @@ impl FlowEngine {
         scratch: &mut SimScratch,
         obs: &mut O,
     ) -> Result<SimReport, AlgorithmError> {
+        self.cfg.validate()?;
         let topo = prep.topology();
         let cfg = &self.cfg;
         let flit_ns = cfg.flit_time_ns();

@@ -62,7 +62,7 @@ pub mod shard;
 pub mod synthetic;
 pub mod telemetry;
 
-pub use config::{FlowControlMode, NetworkConfig};
+pub use config::{ConfigError, FlowControlMode, NetworkConfig};
 pub use energy::EnergyModel;
 pub use fault::{CompiledFaults, FaultEvent, FaultPlan, FaultReport, FaultedRun};
 pub use observer::{NoopObserver, ObservedEngine, RunInfo, SimObserver};

@@ -15,6 +15,8 @@
 //! idle-cycle skipping, active lists, calendar queues and compiled-out
 //! observer hooks are pure reorganizations, not approximations. The
 //! NoopObserver path must also stay allocation-free in steady state.
+//! The healthy cells of the golden corpus (`crates/netsim/tests/corpus`)
+//! meet the same oracle.
 
 use multitree::algorithms::{AllReduce, DbTree, MultiTree, Ring};
 use multitree::PreparedSchedule;
@@ -24,6 +26,10 @@ use mt_netsim::{
 };
 use mt_topology::Topology;
 use proptest::prelude::*;
+
+/// The cycle engine's golden corpus, shared with the golden pins.
+#[path = "../crates/netsim/tests/corpus/mod.rs"]
+mod corpus;
 
 fn algos() -> Vec<(&'static str, Box<dyn AllReduce>)> {
     vec![
@@ -320,4 +326,39 @@ proptest! {
             "buffer high-water diverged: {} at {}B", name, bytes
         );
     }
+}
+
+// --- the golden corpus against the dense reference -------------------
+
+#[test]
+fn golden_corpus_healthy_cases_match_dense_reference() {
+    // every healthy corpus cell the oracle models (it predates per-link
+    // rates, so the re-rated torus is pinned by the golden table alone)
+    let mut scratch = SimScratch::new();
+    let mut compared = 0;
+    for case in corpus::cases().iter().filter(|c| c.topo.is_uniform()) {
+        // the reference oracle is deprecated for users, not for its tests
+        #[allow(deprecated)]
+        let (ref_report, ref_stats) = CycleEngine::new(case.cfg)
+            .run_reference_detailed(&case.topo, &case.schedule, case.bytes)
+            .unwrap();
+        let reference = corpus::fingerprint(
+            &mt_netsim::EngineReport {
+                sim: ref_report,
+                detail: mt_netsim::EngineDetail::Cycle {
+                    cycles: ref_stats.cycles,
+                    max_buffer_occupancy: ref_stats.max_buffer_occupancy,
+                },
+            },
+            None,
+        );
+        let (event_driven, _) = corpus::run_case(case, None, &mut scratch, &mut NoopObserver);
+        assert_eq!(
+            event_driven, reference,
+            "diverged from the dense reference: {}",
+            case.name
+        );
+        compared += 1;
+    }
+    assert!(compared >= 10, "too few corpus cells reached the oracle");
 }
