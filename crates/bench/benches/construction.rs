@@ -3,7 +3,9 @@
 //! quantifying the "runs once at initialization" cost (§III-C1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use multitree::algorithms::{AllReduce, DbTree, Hdrm, MultiTree, Ring, Ring2D};
+use multitree::algorithms::{
+    AllReduce, DbTree, Hdrm, HierarchicalMultiTree, MultiTree, Ring, Ring2D,
+};
 use mt_topology::Topology;
 
 fn multitree_construction(c: &mut Criterion) {
@@ -44,6 +46,23 @@ fn verification(c: &mut Criterion) {
     c.bench_function("verify_multitree_64", |b| {
         b.iter(|| multitree::verify::verify_schedule(&schedule).unwrap())
     });
+    // the verifies a served compile runs on mtbench's largest keys
+    let t16 = Topology::torus(16, 16);
+    let t32 = Topology::torus(32, 32);
+    for (label, schedule) in [
+        ("verify_2dring_64", Ring2D.build(&topo).unwrap()),
+        ("verify_2dring_256", Ring2D.build(&t16).unwrap()),
+        ("verify_ring_256", Ring.build(&t16).unwrap()),
+        ("verify_multitree_256", MultiTree::default().build(&t16).unwrap()),
+        (
+            "verify_multitree_hier_1024",
+            HierarchicalMultiTree::default().build(&t32).unwrap(),
+        ),
+    ] {
+        c.bench_function(label, |b| {
+            b.iter(|| multitree::verify::verify_schedule(&schedule).unwrap())
+        });
+    }
 }
 
 fn collectives_and_subsets(c: &mut Criterion) {

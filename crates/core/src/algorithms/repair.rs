@@ -113,8 +113,8 @@ const REGROW_STEP_FACTOR: u32 = 4;
 /// step by step, against the residual per-step link capacity of the
 /// frozen trees. Dead hosts switch to the survivor-subset construction;
 /// indirect networks and stuck regrowth fall back to a full rebuild.
-/// Every returned schedule has passed the reduction-correctness
-/// verifier.
+/// With no failures at all, `forest` is lowered as it stands. Every
+/// returned schedule has passed the reduction-correctness verifier.
 ///
 /// # Errors
 ///
@@ -153,6 +153,10 @@ pub fn repair_multitree(
         degraded = degraded.without_vertex(Vertex::Node(d));
     }
     let steps_before = forest.total_steps * 2;
+
+    if dead_links.is_empty() && dead_nodes.is_empty() {
+        return lower_unchanged(mt, degraded, forest, steps_before);
+    }
 
     if !dead_nodes.is_empty() {
         return repair_survivor_subset(mt, topo, degraded, forest, dead_nodes, steps_before);
@@ -421,6 +425,39 @@ fn regrow_affected_reference(
     Some(Forest {
         trees: trees.into_iter().map(TreeBuild::finish).collect(),
         total_steps,
+    })
+}
+
+/// The empty-delta path: nothing failed, so the given forest is lowered
+/// and verified as it stands instead of being regrown (direct fabrics) or
+/// rebuilt (indirect ones). The schedule keeps the name each of those
+/// paths gave it, so a healthy compile is the same bytes either way.
+fn lower_unchanged(
+    mt: &MultiTree,
+    topo: Topology,
+    forest: &Forest,
+    steps_before: u32,
+) -> Result<RepairedSchedule, AlgorithmError> {
+    let name = if topo.is_direct() { "multitree-repair" } else { mt.name() };
+    let n = topo.num_nodes();
+    let mut s = CommSchedule::new(name, n, n.max(1) as u32);
+    lower_forest(&topo, forest, &mut s, &|root| root.index() as u32)?;
+    verify_schedule(&s)?;
+    let report = RepairReport {
+        strategy: RepairStrategy::Incremental,
+        affected_trees: 0,
+        total_trees: forest.trees.len(),
+        reused_edges: forest.trees.iter().map(|t| t.edges.len()).sum(),
+        rebuilt_edges: 0,
+        steps_before,
+        steps_after: s.num_steps(),
+        verified: true,
+    };
+    Ok(RepairedSchedule {
+        schedule: s,
+        topology: topo,
+        forest: Some(forest.clone()),
+        report,
     })
 }
 
@@ -708,6 +745,38 @@ mod tests {
         // a host's only uplink dying disconnects it: clean error, no panic
         let err = repair_multitree(&mt, &topo, &forest, &[LinkId::new(0)], &[]).unwrap_err();
         assert!(matches!(err, AlgorithmError::ConstructionFailed { .. }), "{err}");
+    }
+
+    /// An empty delta lowers the forest it was given: the schedule,
+    /// topology and forest are exactly what regrowing nothing (direct
+    /// fabrics) or rebuilding from scratch (indirect ones) produced.
+    #[test]
+    fn empty_delta_matches_regrow_and_rebuild_byte_for_byte() {
+        let topo = Topology::torus(4, 4);
+        let mt = MultiTree::default();
+        let forest = mt.construct_forest(&topo).unwrap();
+        let r = repair_multitree(&mt, &topo, &forest, &[], &[]).unwrap();
+        let none = vec![false; forest.trees.len()];
+        let merged = regrow_affected(&topo, &topo, &forest, &none, false).unwrap();
+        let mut want = CommSchedule::new("multitree-repair", 16, 16);
+        lower_forest(&topo, &merged, &mut want, &|root| root.index() as u32).unwrap();
+        assert_eq!(r.schedule, want);
+        assert_eq!(r.forest.as_ref(), Some(&merged));
+        assert_eq!(format!("{:?}", r.topology), format!("{:?}", topo.without_links(&[])));
+
+        for (mt, topo) in [
+            (MultiTree::bandwidth_aware(), Topology::fattree_oversubscribed(4, 4)),
+            (MultiTree::default(), Topology::dragonfly(4, 2)),
+        ] {
+            assert!(!topo.is_direct());
+            let forest = mt.construct_forest(&topo).unwrap();
+            let r = repair_multitree(&mt, &topo, &forest, &[], &[]).unwrap();
+            assert_eq!(r.schedule, mt.build(&topo).unwrap());
+            assert_eq!(r.schedule.algorithm(), "multitree");
+            assert_eq!(r.forest, Some(mt.construct_forest(&topo).unwrap()));
+            assert_eq!(format!("{:?}", r.topology), format!("{:?}", topo.without_links(&[])));
+            assert!(r.report.verified);
+        }
     }
 
     #[test]

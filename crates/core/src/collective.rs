@@ -24,7 +24,7 @@ use crate::chunk::ChunkRange;
 use crate::error::AlgorithmError;
 use crate::event::{CollectiveOp, EventId, FlowId};
 use crate::schedule::CommSchedule;
-use crate::util::BitSet;
+use crate::verify::{is_subset, node_mask, run_dataflow};
 use mt_topology::{NodeId, Topology};
 use std::collections::HashMap;
 
@@ -285,51 +285,16 @@ fn dfs_layout(tree: &Tree) -> (Vec<usize>, Vec<usize>) {
 /// Returns [`AlgorithmError::VerificationFailed`] naming the first
 /// segment that is not fully reduced anywhere.
 pub fn verify_reduce_scatter(schedule: &CommSchedule) -> Result<(), AlgorithmError> {
-    schedule.validate()?;
+    let flow = run_dataflow(schedule, |e| match e.op {
+        CollectiveOp::Reduce => Ok(()),
+        CollectiveOp::Gather => Err(AlgorithmError::MalformedSchedule {
+            detail: format!("reduce-scatter schedule contains a gather: {e}"),
+        }),
+    })?;
     let n = schedule.num_nodes();
-    let segs = schedule.total_segments() as usize;
-    // carried sets as in the all-reduce verifier, reduce-only
-    let mut carried: Vec<Vec<BitSet>> = Vec::with_capacity(schedule.events().len());
-    let mut state: Vec<Vec<BitSet>> = (0..n)
-        .map(|i| {
-            (0..segs)
-                .map(|_| {
-                    let mut b = BitSet::new(n);
-                    b.insert(i);
-                    b
-                })
-                .collect()
-        })
-        .collect();
-    for e in schedule.topological_order() {
-        if e.op != CollectiveOp::Reduce {
-            return Err(AlgorithmError::MalformedSchedule {
-                detail: format!("reduce-scatter schedule contains a gather: {e}"),
-            });
-        }
-        let mut payload: Vec<BitSet> = e.chunk.segments().map(|_| BitSet::new(n)).collect();
-        for d in &e.deps {
-            let dep = schedule.event(*d);
-            if dep.dst != e.src {
-                continue;
-            }
-            for (i, seg) in e.chunk.segments().enumerate() {
-                if dep.chunk.contains(seg) {
-                    payload[i].union_with(&carried[d.index()][(seg - dep.chunk.start) as usize]);
-                }
-            }
-        }
-        for p in &mut payload {
-            p.insert(e.src.index());
-        }
-        for (i, seg) in e.chunk.segments().enumerate() {
-            state[e.dst.index()][seg as usize].union_with(&payload[i]);
-        }
-        carried.push(payload);
-    }
-    #[allow(clippy::needless_range_loop)]
-    for seg in 0..segs {
-        let owner_has_all = (0..n).any(|node| state[node][seg].is_full());
+    let everyone = node_mask(n, 0..n);
+    for seg in 0..schedule.total_segments() as usize {
+        let owner_has_all = (0..n).any(|node| is_subset(&everyone, flow.set(node, seg)));
         if !owner_has_all {
             return Err(AlgorithmError::VerificationFailed {
                 detail: format!("segment {seg} is not fully reduced at any node"),

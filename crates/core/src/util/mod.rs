@@ -1,7 +1,5 @@
 //! Small self-contained utilities used by the schedule algorithms.
 
-mod bitset;
 mod edge_coloring;
 
-pub use bitset::BitSet;
 pub use edge_coloring::color_bipartite_multigraph;

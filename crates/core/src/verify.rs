@@ -18,18 +18,20 @@
 //!    must end with the *exact* sum of all contributions, which catches
 //!    double-counting (a contribution delivered twice) that set semantics
 //!    cannot distinguish from a single delivery.
+//!
+//! Both run on flat arrays: an origin set is `⌈n/64⌉` words inside one
+//! `Vec<u64>`, and numeric buffers are one `n × segments` `f64` vector.
 
 use crate::error::AlgorithmError;
 use crate::event::{CollectiveOp, CommEvent};
 use crate::schedule::CommSchedule;
-use crate::util::BitSet;
 
 /// Statistics returned by a successful verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
     /// Number of events executed.
     pub events: usize,
-    /// Number of Gather events (checked to carry fully-reduced data).
+    /// Number of Gather events.
     pub gathers: usize,
     /// Number of Reduce events.
     pub reduces: usize,
@@ -41,16 +43,24 @@ pub struct VerifyReport {
 ///
 /// 1. **Dependency sufficiency** — every event's payload, derived only
 ///    from its declared `deps`, is well defined;
-/// 2. **Gather completeness** — every `Gather` event carries segments
-///    that are already fully reduced (no premature broadcast);
-/// 3. **All-reduce completion** — after all events, every node holds the
-///    contribution of all `n` nodes for every segment.
+/// 2. **All-reduce completion** — after all events, every node holds the
+///    contribution of all `n` nodes for every segment;
+/// 3. **Exact sums** — the lockstep numeric execution leaves every node
+///    with the exact total in every segment, so no contribution is
+///    dropped or counted twice.
+///
+/// A `Gather` is *not* required to carry fully reduced data: 2D-Ring's
+/// intermediate row and column all-gathers broadcast partial sums by
+/// design, and the later phase completes them. A premature broadcast is
+/// therefore caught only when it changes a final buffer — the numeric
+/// pass sees the overwrite, the set dataflow the missing origins.
 ///
 /// # Errors
 ///
 /// Returns [`AlgorithmError::VerificationFailed`] naming the first
 /// violated property, or [`AlgorithmError::MalformedSchedule`] if the
-/// schedule fails structural validation.
+/// schedule fails structural validation or an event depends on another
+/// event of its own time step.
 pub fn verify_schedule(schedule: &CommSchedule) -> Result<VerifyReport, AlgorithmError> {
     let all: Vec<mt_topology::NodeId> = (0..schedule.num_nodes())
         .map(mt_topology::NodeId::new)
@@ -59,10 +69,10 @@ pub fn verify_schedule(schedule: &CommSchedule) -> Result<VerifyReport, Algorith
 }
 
 /// Verifies an all-reduce among a subset of the nodes (hybrid-parallel
-/// training, paper §VII-B): only `participants` contribute data, only
-/// they must end with the full participant sum, and broadcasts must carry
-/// all participant contributions. Non-participant nodes may appear inside
-/// event link paths (as relays) but never as event endpoints.
+/// training, paper §VII-B): only `participants` contribute data, and only
+/// they must end with the full participant sum. Non-participant nodes may
+/// appear inside event link paths (as relays) but never as event
+/// endpoints.
 ///
 /// # Errors
 ///
@@ -71,157 +81,156 @@ pub fn verify_allreduce_among(
     schedule: &CommSchedule,
     participants: &[mt_topology::NodeId],
 ) -> Result<VerifyReport, AlgorithmError> {
-    schedule.validate()?;
     let n = schedule.num_nodes();
     let segs = schedule.total_segments() as usize;
-    let mut required = BitSet::new(n);
-    for p in participants {
-        required.insert(p.index());
-    }
+    let required = node_mask(n, participants.iter().map(|p| p.index()));
 
-    // carried[event][segment - chunk.start]: which origins the event's
-    // payload contains for that segment.
-    let mut carried: Vec<Vec<BitSet>> = Vec::with_capacity(schedule.events().len());
-    // state[node][segment]: origins accumulated in the node's buffer.
-    let mut state: Vec<Vec<BitSet>> = (0..n)
-        .map(|i| {
-            (0..segs)
-                .map(|_| {
-                    let mut b = BitSet::new(n);
-                    b.insert(i);
-                    b
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut gathers = 0usize;
-    let mut reduces = 0usize;
-
-    for e in schedule.topological_order() {
-        if !required.contains(e.src.index()) || !required.contains(e.dst.index()) {
-            return Err(AlgorithmError::MalformedSchedule {
-                detail: format!("{e} involves a non-participant endpoint"),
-            });
-        }
-        let payload = event_payload(schedule, e, &carried, n)?;
-        if e.op == CollectiveOp::Gather {
-            gathers += 1;
+    let flow = run_dataflow(schedule, |e| {
+        if has_bit(&required, e.src.index()) && has_bit(&required, e.dst.index()) {
+            Ok(())
         } else {
-            reduces += 1;
+            Err(AlgorithmError::MalformedSchedule {
+                detail: format!("{e} involves a non-participant endpoint"),
+            })
         }
-        // Deliver: the destination accumulates the payload.
-        for (i, seg) in e.chunk.segments().enumerate() {
-            state[e.dst.index()][seg as usize].union_with(&payload[i]);
-        }
-        carried.push(payload);
-    }
+    })?;
 
     for p in participants {
         let node = p.index();
-        #[allow(clippy::needless_range_loop)]
         for seg in 0..segs {
-            if !contains_all(&state[node][seg], &required) {
+            let set = flow.set(node, seg);
+            if !is_subset(&required, set) {
                 return Err(AlgorithmError::VerificationFailed {
                     detail: format!(
                         "node {node} ends with {}/{} contributions for segment {seg}",
-                        state[node][seg].len(),
+                        popcount(set),
                         participants.len()
                     ),
                 });
             }
         }
     }
+    // free the origin sets before the numeric pass allocates its own
+    drop(flow);
 
     // --- exact numeric execution: catches double counting
     let finals = execute_numeric(schedule, &|node| {
-        if required.contains(node) {
+        if has_bit(&required, node) {
             (node + 1) as f64
         } else {
             0.0
         }
-    });
+    })?;
     let expected: f64 = participants.iter().map(|p| (p.index() + 1) as f64).sum();
     for p in participants {
-        #[allow(clippy::needless_range_loop)]
-        for seg in 0..segs {
-            let got = finals[p.index()][seg];
-            if got != expected {
-                return Err(AlgorithmError::VerificationFailed {
-                    detail: format!(
-                        "numeric execution: node {p} segment {seg} ends with {got}, expected {expected}                          (a contribution was dropped or double-counted)"
-                    ),
-                });
-            }
+        let row = &finals[p.index() * segs..][..segs];
+        if let Some((seg, &got)) = row.iter().enumerate().find(|&(_, &v)| v != expected) {
+            return Err(AlgorithmError::VerificationFailed {
+                detail: format!(
+                    "numeric execution: node {p} segment {seg} ends with {got}, expected {expected} \
+                     (a contribution was dropped or double-counted)"
+                ),
+            });
         }
     }
 
-    Ok(VerifyReport {
-        events: schedule.events().len(),
-        gathers,
-        reduces,
-    })
+    Ok(report(schedule))
 }
 
 /// Executes a schedule numerically in bulk-synchronous (lockstep) rounds:
 /// every node's buffer starts at `initial(node)` for all segments; within
 /// each time step all events read the **start-of-step** buffers (the
 /// physical meaning of the paper's lockstep — a step's sends carry data
-/// computed before the step's deliveries), then all deliveries apply:
-/// `Reduce` adds, `Gather` overwrites. Returns the final per-node,
-/// per-segment values.
+/// computed before the step's deliveries), then all deliveries apply in
+/// event order: `Reduce` adds, `Gather` overwrites. Returns the final
+/// values as one flat vector, node `i`'s segment `s` at
+/// `i * total_segments + s`.
 ///
 /// Values are integers stored in `f64` (exact below 2^53), so any
 /// dropped or double-counted contribution changes the result exactly.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if an event depends on another event of the same (or a later)
-/// time step — every algorithm in this crate produces strictly
-/// earlier-step dependencies, which is what makes the BSP rounds a legal
-/// serialization.
+/// Returns [`AlgorithmError::MalformedSchedule`] if an event depends on
+/// another event of the same (or a later) time step — every algorithm in
+/// this crate produces strictly earlier-step dependencies, which is what
+/// makes the BSP rounds a legal serialization.
 pub fn execute_numeric(
     schedule: &CommSchedule,
     initial: &dyn Fn(usize) -> f64,
-) -> Vec<Vec<f64>> {
+) -> Result<Vec<f64>, AlgorithmError> {
     let n = schedule.num_nodes();
     let segs = schedule.total_segments() as usize;
-    let mut buf: Vec<Vec<f64>> = (0..n).map(|i| vec![initial(i); segs]).collect();
-    for step_events in schedule.events_by_step() {
+    let events = schedule.events();
+    let mut buf: Vec<f64> = (0..n)
+        .flat_map(|i| std::iter::repeat_n(initial(i), segs))
+        .collect();
+
+    // lockstep rounds serialize only strictly earlier-step dependencies
+    let step_of: Vec<u32> = events.iter().map(|e| e.step).collect();
+    for e in events {
+        if let Some(d) = e.deps.iter().find(|d| step_of[d.index()] >= e.step) {
+            return Err(AlgorithmError::MalformedSchedule {
+                detail: format!(
+                    "{e} depends on {} of the same or a later step; \
+                     lockstep rounds need strictly earlier-step deps",
+                    schedule.event(*d)
+                ),
+            });
+        }
+    }
+
+    // Counting sort by step into compact moves, stable so deliveries keep
+    // event order: step s's moves sit at moves[bounds[s - 1]..bounds[s]].
+    let steps = schedule.num_steps() as usize;
+    let mut bounds = vec![0usize; steps + 1];
+    for &step in &step_of {
+        bounds[step as usize] += 1;
+    }
+    for s in 1..=steps {
+        bounds[s] += bounds[s - 1];
+    }
+    let mut moves = vec![Move::default(); events.len()];
+    let mut next = bounds.clone();
+    for e in events {
+        let slot = &mut next[e.step as usize - 1];
+        moves[*slot] = Move {
+            from: e.src.index() * segs + e.chunk.start as usize,
+            to: e.dst.index() * segs + e.chunk.start as usize,
+            len: e.chunk.len(),
+            gather: e.op == CollectiveOp::Gather,
+        };
+        *slot += 1;
+    }
+
+    let mut payload: Vec<f64> = Vec::new();
+    for s in 1..=steps {
+        let step_moves = &moves[bounds[s - 1]..bounds[s]];
         // payloads from the start-of-step state
-        let payloads: Vec<Vec<f64>> = step_events
-            .iter()
-            .map(|e| {
-                for d in &e.deps {
-                    assert!(
-                        schedule.event(*d).step < e.step,
-                        "numeric execution needs strictly earlier-step deps ({} depends on {})",
-                        e,
-                        schedule.event(*d)
-                    );
-                }
-                e.chunk
-                    .segments()
-                    .map(|seg| buf[e.src.index()][seg as usize])
-                    .collect()
-            })
-            .collect();
+        payload.clear();
+        for m in step_moves {
+            payload.extend_from_slice(&buf[m.from..m.from + m.len as usize]);
+        }
         // then all of the step's deliveries
-        for (e, payload) in step_events.iter().zip(&payloads) {
-            for (i, seg) in e.chunk.segments().enumerate() {
-                match e.op {
-                    CollectiveOp::Reduce => buf[e.dst.index()][seg as usize] += payload[i],
-                    CollectiveOp::Gather => buf[e.dst.index()][seg as usize] = payload[i],
-                }
+        let mut at = 0;
+        for m in step_moves {
+            let len = m.len as usize;
+            let dst = &mut buf[m.to..m.to + len];
+            let src = &payload[at..at + len];
+            at += len;
+            if m.gather {
+                dst.copy_from_slice(src);
+            } else {
+                dst.iter_mut().zip(src).for_each(|(d, s)| *d += s);
             }
         }
     }
-    buf
+    Ok(buf)
 }
 
 /// Memory-scalable all-reduce verification for very large machines.
 ///
-/// The full symbolic verifier tracks an origin [`BitSet`] per
+/// The full symbolic verifier tracks an origin set of `⌈n/64⌉` words per
 /// `(node, segment)` pair — `O(n² · segments / 64)` words, about
 /// 128 GiB at 65536 nodes — so it cannot run at the scales the
 /// hierarchical builder now reaches. This tier keeps the structural
@@ -250,26 +259,6 @@ pub fn verify_allreduce_numeric(schedule: &CommSchedule) -> Result<VerifyReport,
     let n = schedule.num_nodes();
     let segs = schedule.total_segments() as usize;
 
-    let mut gathers = 0usize;
-    let mut reduces = 0usize;
-    for e in schedule.events() {
-        for d in &e.deps {
-            let dep = schedule.event(*d);
-            if dep.step >= e.step {
-                return Err(AlgorithmError::MalformedSchedule {
-                    detail: format!(
-                        "{e} depends on {dep} of the same or a later step; \
-                         lockstep rounds need strictly earlier-step deps"
-                    ),
-                });
-            }
-        }
-        match e.op {
-            CollectiveOp::Gather => gathers += 1,
-            CollectiveOp::Reduce => reduces += 1,
-        }
-    }
-
     // two independent integer contribution patterns, both exact in f64:
     // node ranks, and a multiplicative scramble of them
     let patterns: [&dyn Fn(usize) -> f64; 2] = [
@@ -278,79 +267,182 @@ pub fn verify_allreduce_numeric(schedule: &CommSchedule) -> Result<VerifyReport,
     ];
     for initial in patterns {
         let expected: f64 = (0..n).map(initial).sum();
-        let finals = execute_numeric(schedule, initial);
-        for (node, vals) in finals.iter().enumerate() {
-            for (seg, &got) in vals.iter().enumerate().take(segs) {
-                if got != expected {
-                    return Err(AlgorithmError::VerificationFailed {
-                        detail: format!(
-                            "numeric execution: node {node} segment {seg} ends with {got}, \
-                             expected {expected} (a contribution was dropped or double-counted)"
-                        ),
-                    });
-                }
-            }
+        let finals = execute_numeric(schedule, initial)?;
+        if let Some((at, &got)) = finals.iter().enumerate().find(|&(_, &v)| v != expected) {
+            return Err(AlgorithmError::VerificationFailed {
+                detail: format!(
+                    "numeric execution: node {} segment {} ends with {got}, \
+                     expected {expected} (a contribution was dropped or double-counted)",
+                    at / segs,
+                    at % segs
+                ),
+            });
         }
     }
 
-    Ok(VerifyReport {
-        events: schedule.events().len(),
+    Ok(report(schedule))
+}
+
+/// The event counts of a schedule that verified.
+fn report(schedule: &CommSchedule) -> VerifyReport {
+    let events = schedule.events().len();
+    let gathers = schedule
+        .events()
+        .iter()
+        .filter(|e| e.op == CollectiveOp::Gather)
+        .count();
+    VerifyReport {
+        events,
         gathers,
-        reduces,
-    })
+        reduces: events - gathers,
+    }
 }
 
-/// True if `set` contains every element of `required`.
-fn contains_all(set: &BitSet, required: &BitSet) -> bool {
-    required.iter().all(|i| set.contains(i))
+/// One event as the numeric executor replays it: `len` values move from
+/// flat buffer position `from` to `to`, added or (for a Gather) copied.
+#[derive(Clone, Copy, Default)]
+struct Move {
+    from: usize,
+    to: usize,
+    len: u32,
+    gather: bool,
 }
 
-/// Derives the payload an event carries, using only its declared deps.
+/// Origin sets after a dependency-strict dataflow run ([`run_dataflow`]):
+/// bit `o` of the set for `(node, seg)` means node's buffer holds origin
+/// `o`'s contribution to segment `seg`.
+pub(crate) struct Dataflow {
+    segs: usize,
+    words: usize,
+    /// The set for `(node, seg)` is `state[(node * segs + seg) * words..][..words]`.
+    state: Vec<u64>,
+}
+
+impl Dataflow {
+    /// The origin set of `node`'s buffer for `seg`.
+    pub(crate) fn set(&self, node: usize, seg: usize) -> &[u64] {
+        &self.state[(node * self.segs + seg) * self.words..][..self.words]
+    }
+}
+
+/// The words of an origin set holding exactly `nodes`, out of `n`.
+pub(crate) fn node_mask(n: usize, nodes: impl IntoIterator<Item = usize>) -> Vec<u64> {
+    let mut mask = vec![0u64; n.div_ceil(64)];
+    for i in nodes {
+        mask[i / 64] |= 1 << (i % 64);
+    }
+    mask
+}
+
+/// True if `set` contains every origin in `required`.
+pub(crate) fn is_subset(required: &[u64], set: &[u64]) -> bool {
+    required.iter().zip(set).all(|(r, s)| r & !s == 0)
+}
+
+fn has_bit(set: &[u64], i: usize) -> bool {
+    set[i / 64] & (1 << (i % 64)) != 0
+}
+
+fn popcount(set: &[u64]) -> usize {
+    set.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// Validates `schedule` and runs the dependency-strict set dataflow in
+/// topological order, returning every buffer's final origin set.
 ///
-/// * A `Reduce` payload always mixes in the sender's own partial.
-/// * A `Gather` payload mixes in the sender's own partial only where the
+/// An event's payload is derived only from its declared deps:
+///
+/// * a dep contributes only if it delivered to the event's sender, and
+///   then only on the segments both chunks share (a dep that is not a
+///   delivery to our sender only sequences time, e.g. "my previous send
+///   finished");
+/// * a `Reduce` payload always mixes in the sender's own partial;
+/// * a `Gather` payload mixes in the sender's own partial only where the
 ///   broadcast *originates* (no incoming `Gather` dependency covers the
 ///   segment): the root of a broadcast tree sends its fully reduced local
 ///   buffer, while interior nodes forward exactly what they received.
-fn event_payload(
+///
+/// `check(e)` sees each event before its payload is derived; its first
+/// error stops the run. Payloads live in one arena indexed by per-event
+/// prefix offsets, so a dependency's contribution is a single slice OR.
+///
+/// # Errors
+///
+/// Structural validation failures, and whatever `check` returns.
+pub(crate) fn run_dataflow(
     schedule: &CommSchedule,
-    e: &CommEvent,
-    carried: &[Vec<BitSet>],
-    n: usize,
-) -> Result<Vec<BitSet>, AlgorithmError> {
-    let mut payload: Vec<BitSet> = e.chunk.segments().map(|_| BitSet::new(n)).collect();
-    // Which segments already receive data via an incoming Gather dep.
-    let mut has_gather_dep = vec![false; e.chunk.len() as usize];
+    mut check: impl FnMut(&CommEvent) -> Result<(), AlgorithmError>,
+) -> Result<Dataflow, AlgorithmError> {
+    schedule.validate()?;
+    let n = schedule.num_nodes();
+    let segs = schedule.total_segments() as usize;
+    let words = n.div_ceil(64);
+    let events = schedule.events();
 
-    for d in &e.deps {
-        let dep = schedule.event(*d);
-        if dep.dst != e.src {
-            // A dependency that is not a delivery to our sender only
-            // sequences time (e.g. "my previous send finished"); it
-            // contributes no data.
-            continue;
+    let mut state = vec![0u64; n * segs * words];
+    for node in 0..n {
+        for seg in 0..segs {
+            state[(node * segs + seg) * words + node / 64] |= 1 << (node % 64);
         }
-        for (i, seg) in e.chunk.segments().enumerate() {
-            if dep.chunk.contains(seg) {
-                let offset = (seg - dep.chunk.start) as usize;
-                payload[i].union_with(&carried[d.index()][offset]);
-                if dep.op == CollectiveOp::Gather {
-                    has_gather_dep[i] = true;
-                }
+    }
+    // carried[at[e]..at[e + 1]]: the payload event e delivered
+    let mut at = Vec::with_capacity(events.len() + 1);
+    at.push(0usize);
+    for e in events {
+        at.push(at[at.len() - 1] + e.chunk.len() as usize * words);
+    }
+    let mut carried = vec![0u64; at[events.len()]];
+    // each event's receiver, compact, so deps that only sequence time
+    // (most of 2D-RING's) are skipped without touching the events
+    let dst_of: Vec<u32> = events.iter().map(|e| e.dst.index() as u32).collect();
+    // which of the event's segments an incoming Gather dep covers
+    let mut gather_fed: Vec<bool> = Vec::new();
+
+    for (id, e) in schedule.topological_order().enumerate() {
+        check(e)?;
+        let (earlier, rest) = carried.split_at_mut(at[id]);
+        let payload = &mut rest[..at[id + 1] - at[id]];
+        let (src, start) = (e.src.index(), e.chunk.start);
+        gather_fed.clear();
+        gather_fed.resize(e.chunk.len() as usize, false);
+
+        for d in &e.deps {
+            if dst_of[d.index()] as usize != src {
+                continue;
+            }
+            let dep = &events[d.index()];
+            let lo = start.max(dep.chunk.start);
+            let hi = e.chunk.end.min(dep.chunk.end);
+            if lo >= hi {
+                continue;
+            }
+            let len = (hi - lo) as usize * words;
+            let from = at[d.index()] + (lo - dep.chunk.start) as usize * words;
+            let to = (lo - start) as usize * words;
+            or_into(&mut payload[to..to + len], &earlier[from..from + len]);
+            if dep.op == CollectiveOp::Gather {
+                gather_fed[(lo - start) as usize..(hi - start) as usize].fill(true);
             }
         }
+
+        let (w, bit) = (src / 64, 1u64 << (src % 64));
+        for (set, fed) in payload.chunks_exact_mut(words).zip(&gather_fed) {
+            if e.op == CollectiveOp::Reduce || !fed {
+                set[w] |= bit;
+            }
+        }
+
+        let base = (e.dst.index() * segs + start as usize) * words;
+        or_into(&mut state[base..base + payload.len()], payload);
     }
 
-    for (i, _seg) in e.chunk.segments().enumerate() {
-        let add_self = match e.op {
-            CollectiveOp::Reduce => true,
-            CollectiveOp::Gather => !has_gather_dep[i],
-        };
-        if add_self {
-            payload[i].insert(e.src.index());
-        }
-    }
-    Ok(payload)
+    Ok(Dataflow { segs, words, state })
 }
 
 #[cfg(test)]
@@ -571,10 +663,80 @@ mod tests {
             vec![],
             None,
         );
-        let out = execute_numeric(&s, &|node| (node as f64 + 1.0) * 10.0);
+        let out = execute_numeric(&s, &|node| (node as f64 + 1.0) * 10.0).unwrap();
         // node 1: 20 + 10 = 30 (reduce); node 0: overwritten to 30 (gather)
-        assert_eq!(out[1][0], 30.0);
-        assert_eq!(out[0][0], 30.0);
+        assert_eq!(out, [30.0, 30.0]);
+    }
+
+    /// A premature broadcast that a correct broadcast later overwrites
+    /// verifies: every buffer ends complete and the sums are exact. The
+    /// verifier does not require a `Gather` to carry fully reduced data,
+    /// because 2D-Ring broadcasts row and column partial sums by design.
+    #[test]
+    fn overwritten_premature_gather_verifies() {
+        let mut s = CommSchedule::new("hand", 3, 1);
+        let c = ChunkRange::single(0);
+        let f = FlowId(0);
+        let mut ev = |src, dst, op, step, deps| {
+            s.push_event(
+                NodeId::new(src),
+                NodeId::new(dst),
+                f,
+                op,
+                c,
+                step,
+                deps,
+                None,
+            )
+        };
+        let r01 = ev(0, 1, CollectiveOp::Reduce, 1, vec![]);
+        let r12 = ev(1, 2, CollectiveOp::Reduce, 2, vec![r01]);
+        // node 1 holds {0, 1} here, not the full sum
+        ev(1, 0, CollectiveOp::Gather, 2, vec![r01]);
+        let g21 = ev(2, 1, CollectiveOp::Gather, 3, vec![r12]);
+        ev(1, 0, CollectiveOp::Gather, 4, vec![g21]);
+        let rep = verify_schedule(&s).unwrap();
+        assert_eq!((rep.gathers, rep.reduces), (3, 2));
+    }
+
+    /// `validate` accepts a dependency on the same step, but lockstep
+    /// rounds cannot serialize it: a typed error, not a panic.
+    #[test]
+    fn same_step_dependency_is_malformed() {
+        let mut s = CommSchedule::new("hand", 2, 1);
+        let c = ChunkRange::single(0);
+        let f = FlowId(0);
+        let a = s.push_event(
+            NodeId::new(0),
+            NodeId::new(1),
+            f,
+            CollectiveOp::Reduce,
+            c,
+            1,
+            vec![],
+            None,
+        );
+        s.push_event(
+            NodeId::new(1),
+            NodeId::new(0),
+            f,
+            CollectiveOp::Reduce,
+            c,
+            1,
+            vec![a],
+            None,
+        );
+        for err in [
+            verify_schedule(&s).unwrap_err(),
+            verify_allreduce_numeric(&s).unwrap_err(),
+            execute_numeric(&s, &|_| 1.0).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, AlgorithmError::MalformedSchedule { .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("strictly earlier-step"), "{err}");
+        }
     }
 
     /// Incomplete schedules (no events) fail the completion check for n>1.

@@ -480,8 +480,8 @@ impl ScheduleCache {
         let topo = spec.build().map_err(|e| e.to_string())?;
         if let Some(mt) = algorithm.multitree() {
             // construct the forest explicitly so it stays with the
-            // entry; the empty repair turns it into a verified schedule
-            // through the exact code path fault deltas will re-enter
+            // entry, for fault deltas to regrow from; the empty repair
+            // lowers and verifies it as it stands
             let forest = mt.construct_forest(&topo).map_err(|e| e.to_string())?;
             let r = repair_multitree(&mt, &topo, &forest, &[], &[]).map_err(|e| e.to_string())?;
             let verified = r.report.verified;
