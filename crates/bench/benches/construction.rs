@@ -65,6 +65,31 @@ fn verification(c: &mut Criterion) {
     }
 }
 
+/// `PreparedData::compute` on mtbench's largest cold-compile keys: RING
+/// routes every event, the MultiTree keys carry explicit paths. (The
+/// construction benches above include dropping each built schedule.)
+fn preparation(c: &mut Criterion) {
+    let t16 = Topology::torus(16, 16);
+    let t32 = Topology::torus(32, 32);
+    for (label, topo, schedule) in [
+        ("prepare_ring_256", &t16, Ring.build(&t16).unwrap()),
+        (
+            "prepare_multitree_256",
+            &t16,
+            MultiTree::default().build(&t16).unwrap(),
+        ),
+        (
+            "prepare_multitree_hier_1024",
+            &t32,
+            HierarchicalMultiTree::default().build(&t32).unwrap(),
+        ),
+    ] {
+        c.bench_function(label, |b| {
+            b.iter(|| multitree::PreparedData::compute(&schedule, topo).unwrap())
+        });
+    }
+}
+
 fn collectives_and_subsets(c: &mut Criterion) {
     let topo = Topology::torus(8, 8);
     let mut g = c.benchmark_group("extensions_64");
@@ -89,6 +114,6 @@ fn collectives_and_subsets(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = multitree_construction, baseline_construction, verification, collectives_and_subsets
+    targets = multitree_construction, baseline_construction, verification, preparation, collectives_and_subsets
 }
 criterion_main!(benches);

@@ -54,10 +54,9 @@ enum Outcome {
 
 /// True if any event path of `s` traverses a link disabled in `topo`.
 fn routes_over_dead_link(s: &CommSchedule, topo: &Topology) -> bool {
-    s.events().iter().any(|e| {
-        e.path
-            .as_deref()
-            .unwrap_or(&[])
+    s.events().any(|e| {
+        e.path()
+            .unwrap_or_default()
             .iter()
             .any(|&l| topo.is_link_disabled(l))
     })

@@ -50,7 +50,7 @@ struct Summary {
 fn slow_crossings(topo: &Topology, s: &CommSchedule) -> usize {
     let mut n = 0usize;
     for e in s.events() {
-        for l in e.path.as_deref().unwrap_or(&[]) {
+        for l in e.path().unwrap_or_default() {
             if !topo.link(*l).is_full_rate() {
                 n += 1;
             }

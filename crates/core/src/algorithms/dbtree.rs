@@ -140,10 +140,7 @@ impl AllReduce for DbTree {
             }
             reduce_sends.sort_unstable();
             for (round, v, c) in reduce_sends {
-                let deps: Vec<EventId> = children[v]
-                    .iter()
-                    .map(|&ch| reduce_of[&(ch, c)])
-                    .collect();
+                let deps = children[v].iter().map(|&ch| reduce_of[&(ch, c)]);
                 let seg = ti as u32 * k + (c - 1);
                 let id = s.push_event(
                     NodeId::new(v),
@@ -172,12 +169,14 @@ impl AllReduce for DbTree {
                 }
             }
             bcast_sends.sort_unstable();
+            let mut deps: Vec<EventId> = Vec::new();
             for (round, v, c) in bcast_sends {
-                let deps: Vec<EventId> = if v == root {
-                    children[v].iter().map(|&ch| reduce_of[&(ch, c)]).collect()
+                deps.clear();
+                if v == root {
+                    deps.extend(children[v].iter().map(|&ch| reduce_of[&(ch, c)]));
                 } else {
-                    vec![gather_of[&(v, c)]]
-                };
+                    deps.push(gather_of[&(v, c)]);
+                }
                 let seg = ti as u32 * k + (c - 1);
                 for &ch in &children[v] {
                     let id = s.push_event(
@@ -187,7 +186,7 @@ impl AllReduce for DbTree {
                         CollectiveOp::Gather,
                         ChunkRange::single(seg),
                         2 * round - 1 + parity,
-                        deps.clone(),
+                        deps.iter().copied(),
                         None,
                     );
                     gather_of.insert((ch, c), id);
@@ -343,7 +342,7 @@ mod tests {
         let topo = Topology::torus(4, 4);
         let s = DbTree::with_pipeline(4).build(&topo).unwrap();
         assert_eq!(s.total_segments(), 8);
-        let half: Vec<_> = s.events().iter().filter(|e| e.flow.0 == 0).collect();
+        let half: Vec<_> = s.events().filter(|e| e.flow.0 == 0).collect();
         assert!(half.iter().all(|e| e.chunk.start < 4));
     }
 
@@ -355,7 +354,6 @@ mod tests {
         let s = DbTree::default().build(&topo).unwrap();
         let multi_hop = s
             .events()
-            .iter()
             .any(|e| topo.distance(e.src.into(), e.dst.into()).unwrap() > 1);
         assert!(multi_hop);
     }

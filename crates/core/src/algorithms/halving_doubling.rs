@@ -41,11 +41,11 @@ impl AllReduce for HalvingDoubling {
 ///
 /// Returns [`AlgorithmError::UnsupportedTopology`] unless `n` is a power
 /// of two (and ≥ 1).
-pub(crate) fn build_with_mapping(
+pub(crate) fn build_with_mapping<'p>(
     name: &'static str,
     n: usize,
     rank_to_node: &[NodeId],
-    mut path_of: impl FnMut(u32, NodeId, NodeId) -> Option<Vec<LinkId>>,
+    mut path_of: impl FnMut(u32, NodeId, NodeId) -> Option<&'p [LinkId]>,
 ) -> Result<CommSchedule, AlgorithmError> {
     if n == 0 || !n.is_power_of_two() {
         return Err(AlgorithmError::UnsupportedTopology {
@@ -65,62 +65,37 @@ pub(crate) fn build_with_mapping(
     let mut range: Vec<ChunkRange> = vec![ChunkRange::new(0, n as u32); n];
     let mut received: Vec<Vec<EventId>> = vec![Vec::new(); n];
 
-    // --- Reduce-scatter: step i exchanges with rank XOR 2^i, giving away
-    // one half of the current range and keeping the other.
-    for i in 0..levels {
+    // Steps 1..=levels reduce-scatter: step i + 1 exchanges with rank
+    // XOR 2^i, giving away one half of the current range and keeping the
+    // other. Steps levels+1..=2·levels all-gather in reverse order,
+    // doubling the owned range each step.
+    for step in 1..=2 * levels {
+        let reduce = step <= levels;
+        let i = if reduce { step - 1 } else { 2 * levels - step };
+        let op = if reduce { CollectiveOp::Reduce } else { CollectiveOp::Gather };
         // first create all events of this step (both directions per pair)
         let mut deliveries: Vec<(usize, EventId)> = Vec::new();
         for r in 0..n {
             let p = r ^ (1 << i);
-            // r keeps lower half iff bit i is 0; sends the other half
-            let (keep, give) = if r & (1 << i) == 0 {
-                (range[r].lower_half(), range[r].upper_half())
+            let chunk = if reduce {
+                // r keeps lower half iff bit i is 0; sends the other half
+                let (lower, upper) = (range[r].lower_half(), range[r].upper_half());
+                let (keep, give) = if r & (1 << i) == 0 { (lower, upper) } else { (upper, lower) };
+                range[r] = keep;
+                give
             } else {
-                (range[r].upper_half(), range[r].lower_half())
+                range[r]
             };
-            let src = rank_to_node[r];
-            let dst = rank_to_node[p];
-            let step = i + 1;
-            let id = s.push_event(
-                src,
-                dst,
-                FlowId(0),
-                CollectiveOp::Reduce,
-                give,
-                step,
-                received[r].clone(),
-                path_of(step, src, dst),
-            );
-            deliveries.push((p, id));
-            range[r] = keep;
-        }
-        for (p, id) in deliveries {
-            received[p].push(id);
-        }
-    }
-
-    // --- All-gather: reverse order, doubling the owned range each step.
-    for i in (0..levels).rev() {
-        let mut deliveries: Vec<(usize, EventId)> = Vec::new();
-        for r in 0..n {
-            let p = r ^ (1 << i);
-            let src = rank_to_node[r];
-            let dst = rank_to_node[p];
-            let step = 2 * levels - i;
-            let id = s.push_event(
-                src,
-                dst,
-                FlowId(0),
-                CollectiveOp::Gather,
-                range[r],
-                step,
-                received[r].clone(),
-                path_of(step, src, dst),
-            );
+            let (src, dst) = (rank_to_node[r], rank_to_node[p]);
+            let deps = received[r].iter().copied();
+            let id = s.push_event(src, dst, FlowId(0), op, chunk, step, deps, path_of(step, src, dst));
             deliveries.push((p, id));
         }
         for (p, id) in deliveries {
             received[p].push(id);
+        }
+        if reduce {
+            continue;
         }
         // ranges merge: partner pairs now share the doubled range
         for r in 0..n {

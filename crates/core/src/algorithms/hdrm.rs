@@ -122,7 +122,7 @@ impl AllReduce for Hdrm {
         }
 
         build_with_mapping(self.name(), n, &mapping, |step, src, dst| {
-            paths.get(&(step, src, dst)).cloned()
+            paths.get(&(step, src, dst)).map(Vec::as_slice)
         })
     }
 }
@@ -169,7 +169,7 @@ mod tests {
         for (si, step_events) in s.events_by_step().iter().enumerate() {
             let mut used: HashSet<usize> = HashSet::new();
             for e in step_events {
-                for l in e.path.as_ref().expect("hdrm events carry paths") {
+                for l in e.path().expect("hdrm events carry paths") {
                     assert!(
                         used.insert(l.index()),
                         "step {}: link {} used twice",

@@ -31,15 +31,15 @@
 //! quantifies both sides.
 
 use crate::algorithms::multitree::{
-    reverse_path, Cursor, Forest, ForestEdge, ForestScratch, MultiTree, Tree, TreeBuild,
+    Cursor, Forest, ForestScratch, MultiTree, ReverseSlots, Tree, TreeBuild, TreeLowering,
 };
 use crate::algorithms::multitree_subset::{try_add_restricted, RelayBfs};
 use crate::algorithms::AllReduce;
 use crate::chunk::ChunkRange;
 use crate::error::AlgorithmError;
-use crate::event::{CollectiveOp, EventId, FlowId};
+use crate::event::{EventId, FlowId};
 use crate::schedule::CommSchedule;
-use mt_topology::{Partition, PodQuotient, Topology};
+use mt_topology::{NodeId, Partition, PodQuotient, Topology};
 
 /// Hierarchical (pod-composed) MultiTree all-reduce.
 ///
@@ -674,138 +674,59 @@ fn splice(
     let n = s.num_nodes();
     let p_count = part.num_pods();
     let full = ChunkRange::new(0, p_count as u32);
-    let mut order: Vec<&ForestEdge> = Vec::new();
+    let mut low = TreeLowering::new(n);
 
     // ---- phase 1: intra-pod reduce, leaves first (chunk = whole vector)
-    let mut reduces_into: Vec<Vec<EventId>> = vec![Vec::new(); n];
     if t1 > 0 {
-        let mut slots = crate::algorithms::multitree::ReverseSlots::new(t1, topo.num_links());
+        let mut slots = ReverseSlots::new(t1, topo.num_links());
         for (p, tree) in pod_trees.iter().enumerate() {
-            let flow = FlowId(p);
-            order.clear();
-            order.extend(tree.edges.iter());
-            order.sort_by_key(|e| std::cmp::Reverse(e.step));
-            for e in &order {
-                let step = t1 - e.step + 1;
-                let path = reverse_path(topo, e, step, &mut slots)?;
-                let deps = reduces_into[e.child.index()].clone();
-                let id = s.push_event(
-                    e.child,
-                    e.parent,
-                    flow,
-                    CollectiveOp::Reduce,
-                    full,
-                    step,
-                    deps,
-                    Some(path),
-                );
-                reduces_into[e.parent.index()].push(id);
-            }
+            low.reduce(
+                s,
+                topo,
+                tree,
+                FlowId(p),
+                full,
+                t1,
+                0,
+                &mut slots,
+                |_| &[][..],
+            )?;
         }
     }
     // pod reduces delivered into each representative
     let rep_in: Vec<Vec<EventId>> = (0..p_count)
-        .map(|p| reduces_into[part.representative(p).index()].clone())
+        .map(|p| low.reduces_into[part.representative(p).index()].clone())
         .collect();
 
     // ---- phase 2: inter-pod all-reduce among representatives,
-    // segment k travels tree k (rooted at pod k's representative)
+    // segment k travels tree k (rooted at pod k's representative); a
+    // representative's sends also depend on its pod's reduces
     let mut rep2_in: Vec<Vec<EventId>> = vec![Vec::new(); p_count];
     if let Some(forest) = inter {
-        let mut slots = crate::algorithms::multitree::ReverseSlots::new(t2, topo.num_links());
-        let mut reduces2: Vec<Vec<EventId>> = vec![Vec::new(); n];
-        let mut gather2: Vec<Option<EventId>> = vec![None; n];
+        let mut slots = ReverseSlots::new(t2, topo.num_links());
+        let first = s.num_events();
         for (k, tree) in forest.trees.iter().enumerate() {
-            let flow = FlowId(k);
-            let chunk = ChunkRange::single(k as u32);
-            for v in reduces2.iter_mut() {
-                v.clear();
-            }
-            gather2.fill(None);
-
-            order.clear();
-            order.extend(tree.edges.iter());
-            order.sort_by_key(|e| std::cmp::Reverse(e.step));
-            for e in &order {
-                let rel = t2 - e.step + 1;
-                let path = reverse_path(topo, e, rel, &mut slots)?;
-                let mut deps = reduces2[e.child.index()].clone();
-                deps.extend_from_slice(&rep_in[part.pod_of_node(e.child)]);
-                let id = s.push_event(
-                    e.child,
-                    e.parent,
-                    flow,
-                    CollectiveOp::Reduce,
-                    chunk,
-                    t1 + rel,
-                    deps,
-                    Some(path),
-                );
-                reduces2[e.parent.index()].push(id);
-                rep2_in[part.pod_of_node(e.parent)].push(id);
-            }
-
-            order.clear();
-            order.extend(tree.edges.iter());
-            order.sort_by_key(|e| e.step);
-            for e in &order {
-                let deps = if e.parent == tree.root {
-                    let mut d = reduces2[tree.root.index()].clone();
-                    d.extend_from_slice(&rep_in[k]);
-                    d
-                } else {
-                    vec![gather2[e.parent.index()]
-                        .expect("parent must have received its gather first")]
-                };
-                let id = s.push_event(
-                    e.parent,
-                    e.child,
-                    flow,
-                    CollectiveOp::Gather,
-                    chunk,
-                    t1 + t2 + e.step,
-                    deps,
-                    Some(e.path.clone()),
-                );
-                gather2[e.child.index()] = Some(id);
-                rep2_in[part.pod_of_node(e.child)].push(id);
-            }
+            let (flow, chunk) = (FlowId(k), ChunkRange::single(k as u32));
+            low.clear();
+            let pod_in = |v: NodeId| &rep_in[part.pod_of_node(v)][..];
+            low.reduce(s, topo, tree, flow, chunk, t2, t1, &mut slots, pod_in)?;
+            low.gather(s, tree, flow, |_| chunk, t1 + t2, &rep_in[k]);
+        }
+        // everything each representative received in phase 2
+        for i in first..s.num_events() {
+            rep2_in[part.pod_of_node(NodeId::new(s.dsts()[i] as usize))].push(EventId::new(i));
         }
     }
 
     // ---- phase 3: intra-pod broadcast down the pod trees
     if t1 > 0 {
-        let base = t1 + 2 * t2;
-        let mut gather3: Vec<Option<EventId>> = vec![None; n];
+        low.clear();
         for (p, tree) in pod_trees.iter().enumerate() {
-            let flow = FlowId(p);
-            order.clear();
-            order.extend(tree.edges.iter());
-            order.sort_by_key(|e| e.step);
-            for e in &order {
-                let deps = if e.parent == tree.root {
-                    // everything the representative received: inter-pod
-                    // gathers cover foreign segments, inter-pod reduces +
-                    // pod reduces cover the pod's own segment
-                    let mut d = rep2_in[p].clone();
-                    d.extend_from_slice(&rep_in[p]);
-                    d
-                } else {
-                    vec![gather3[e.parent.index()]
-                        .expect("parent must have received its broadcast first")]
-                };
-                let id = s.push_event(
-                    e.parent,
-                    e.child,
-                    flow,
-                    CollectiveOp::Gather,
-                    full,
-                    base + e.step,
-                    deps,
-                    Some(e.path.clone()),
-                );
-                gather3[e.child.index()] = Some(id);
-            }
+            // everything the representative received: inter-pod gathers
+            // cover foreign segments, inter-pod reduces + pod reduces
+            // cover the pod's own segment
+            let received: Vec<EventId> = rep2_in[p].iter().chain(&rep_in[p]).copied().collect();
+            low.gather(s, tree, FlowId(p), |_| full, t1 + 2 * t2, &received);
         }
     }
     Ok(())

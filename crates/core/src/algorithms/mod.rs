@@ -26,6 +26,7 @@ pub use dbtree::DbTree;
 pub use halving_doubling::HalvingDoubling;
 pub use hdrm::Hdrm;
 pub use hierarchical::{HierarchicalMultiTree, InterPodMode};
+pub(crate) use multitree::TreeLowering;
 pub use multitree::{Forest, ForestEdge, ForestScratch, MultiTree, Tree, TreeOrder};
 pub use repair::{repair_multitree, RepairReport, RepairStrategy, RepairedSchedule};
 pub use ring::Ring;

@@ -853,74 +853,138 @@ pub(crate) fn lower_forest(
     seg_of: &dyn Fn(NodeId) -> u32,
 ) -> Result<(), AlgorithmError> {
     let tot = forest.total_steps;
-    let n = topo.num_nodes();
     // Reverse-link bookkeeping: parallel links (e.g. extent-2 torus
     // dimensions) must map to distinct reverse links within a step.
-    let mut reverse_used = ReverseSlots::new(tot, topo.num_links());
-
-    // Node-indexed per-tree tables, cleared between trees.
-    // reduce events received by each node (from its children)
-    let mut reduces_into: Vec<Vec<EventId>> = vec![Vec::new(); n];
-    // gather event that delivered the full result to each node
-    let mut gather_into: Vec<Option<EventId>> = vec![None; n];
-    let mut edge_order: Vec<&ForestEdge> = Vec::new();
+    let mut slots = ReverseSlots::new(tot, topo.num_links());
+    let mut low = TreeLowering::new(topo.num_nodes());
+    // Size the schedule exactly: per edge one Reduce (depending on the
+    // child's children) and one Gather (on the parent's Gather, or on
+    // every root Reduce at the root), each over the edge's hops.
+    let (mut events, mut deps, mut links) = (0, 0, 0);
+    for t in &forest.trees {
+        let root_degree = t.edges.iter().filter(|e| e.parent == t.root).count();
+        events += 2 * t.edges.len();
+        deps += 2 * (t.edges.len() - root_degree) + root_degree * root_degree;
+        links += 2 * t.edges.iter().map(|e| e.path.len()).sum::<usize>();
+    }
+    s.reserve(events, deps, links);
 
     for tree in &forest.trees {
         let flow = FlowId(seg_of(tree.root) as usize);
         let chunk = ChunkRange::single(seg_of(tree.root));
+        low.clear();
+        low.reduce(s, topo, tree, flow, chunk, tot, 0, &mut slots, |_| &[][..])?;
+        low.gather(s, tree, flow, |_| chunk, tot, &[]);
+    }
+    Ok(())
+}
 
-        for v in reduces_into.iter_mut() {
-            v.clear();
+/// Node-indexed tables for lowering trees edge by edge, reused across
+/// trees.
+pub(crate) struct TreeLowering<'f> {
+    /// Reduce events each node has received in the current tree.
+    pub(crate) reduces_into: Vec<Vec<EventId>>,
+    /// The gather event that delivered to each node in the current tree.
+    gather_into: Vec<Option<EventId>>,
+    order: Vec<&'f ForestEdge>,
+    rev: Vec<LinkId>,
+}
+
+impl<'f> TreeLowering<'f> {
+    pub(crate) fn new(num_nodes: usize) -> Self {
+        TreeLowering {
+            reduces_into: vec![Vec::new(); num_nodes],
+            gather_into: vec![None; num_nodes],
+            order: Vec::new(),
+            rev: Vec::new(),
         }
-        gather_into.fill(None);
+    }
 
-        // ---- Reduce-scatter: reverse each edge; leaves (largest t) first
-        // so that dependencies already exist when we add an event.
-        edge_order.clear();
-        edge_order.extend(tree.edges.iter());
-        edge_order.sort_by_key(|e| std::cmp::Reverse(e.step));
-        for e in &edge_order {
+    /// Forgets the previous tree's events.
+    pub(crate) fn clear(&mut self) {
+        self.reduces_into.iter_mut().for_each(Vec::clear);
+        self.gather_into.fill(None);
+    }
+
+    /// Emits `tree`'s reduce half: every edge reversed, deepest first (so
+    /// dependencies exist before their dependents), at step
+    /// `base + tot - e.step + 1` with reverse links charged at
+    /// `tot - e.step + 1`. A send depends on the reduces its sender has
+    /// received, then on `extra(sender)`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn reduce<'x>(
+        &mut self,
+        s: &mut CommSchedule,
+        topo: &Topology,
+        tree: &'f Tree,
+        flow: FlowId,
+        chunk: ChunkRange,
+        tot: u32,
+        base: u32,
+        slots: &mut ReverseSlots,
+        extra: impl Fn(NodeId) -> &'x [EventId],
+    ) -> Result<(), AlgorithmError> {
+        self.order.clear();
+        self.order.extend(tree.edges.iter());
+        self.order.sort_by_key(|e| std::cmp::Reverse(e.step));
+        for e in &self.order {
             let step = tot - e.step + 1;
-            let path = reverse_path(topo, e, step, &mut reverse_used)?;
-            let deps = reduces_into[e.child.index()].clone();
+            self.rev.clear();
+            reverse_path(topo, e, step, slots, &mut self.rev)?;
+            let deps = self.reduces_into[e.child.index()].iter().chain(extra(e.child));
             let id = s.push_event(
                 e.child,
                 e.parent,
                 flow,
                 CollectiveOp::Reduce,
                 chunk,
-                step,
-                deps,
-                Some(path),
+                base + step,
+                deps.copied(),
+                Some(&self.rev),
             );
-            reduces_into[e.parent.index()].push(id);
+            self.reduces_into[e.parent.index()].push(id);
         }
+        Ok(())
+    }
 
-        // ---- All-gather: edges in construction order (roots first).
-        edge_order.clear();
-        edge_order.extend(tree.edges.iter());
-        edge_order.sort_by_key(|e| e.step);
-        for e in &edge_order {
-            let deps = if e.parent == tree.root {
-                reduces_into[tree.root.index()].clone()
+    /// Emits `tree`'s gather half: edges root first, each along its path
+    /// with `chunk(edge)` at step `base + e.step`. A send depends on the
+    /// gather its sender received; the root's sends on the reduces it
+    /// received, then on `root_extra`.
+    pub(crate) fn gather(
+        &mut self,
+        s: &mut CommSchedule,
+        tree: &'f Tree,
+        flow: FlowId,
+        chunk: impl Fn(&ForestEdge) -> ChunkRange,
+        base: u32,
+        root_extra: &[EventId],
+    ) {
+        self.order.clear();
+        self.order.extend(tree.edges.iter());
+        self.order.sort_by_key(|e| e.step);
+        for e in &self.order {
+            let (own, extra): (&[EventId], &[EventId]) = if e.parent == tree.root {
+                (&self.reduces_into[tree.root.index()], root_extra)
             } else {
-                vec![gather_into[e.parent.index()]
-                    .expect("parent must have received its gather first")]
+                let received = self.gather_into[e.parent.index()]
+                    .as_ref()
+                    .expect("parent must have received its gather first");
+                (std::slice::from_ref(received), &[])
             };
             let id = s.push_event(
                 e.parent,
                 e.child,
                 flow,
                 CollectiveOp::Gather,
-                chunk,
-                tot + e.step,
-                deps,
-                Some(e.path.clone()),
+                chunk(e),
+                base + e.step,
+                own.iter().chain(extra).copied(),
+                Some(&e.path),
             );
-            gather_into[e.child.index()] = Some(id);
+            self.gather_into[e.child.index()] = Some(id);
         }
     }
-    Ok(())
 }
 
 /// Per-`(step, link)` reverse-capacity accounting for [`reverse_path`]:
@@ -954,8 +1018,8 @@ pub(crate) fn reverse_path(
     e: &ForestEdge,
     step: u32,
     used: &mut ReverseSlots,
-) -> Result<Vec<LinkId>, AlgorithmError> {
-    let mut rev = Vec::with_capacity(e.path.len());
+    rev: &mut Vec<LinkId>,
+) -> Result<(), AlgorithmError> {
     for &l in e.path.iter().rev() {
         let link = topo.link(l);
         // candidate reverse links dst -> src, in adjacency order
@@ -984,7 +1048,7 @@ pub(crate) fn reverse_path(
             }
         }
     }
-    Ok(rev)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1187,6 +1251,6 @@ mod tests {
     fn single_node_empty_schedule() {
         let topo = Topology::mesh(1, 1);
         let s = MultiTree::default().build(&topo).unwrap();
-        assert!(s.events().is_empty());
+        assert_eq!(s.num_events(), 0);
     }
 }

@@ -678,7 +678,7 @@ mod tests {
         let s = MultiTree::default()
             .build_among(&topo, &participants(&[1]))
             .unwrap();
-        assert!(s.events().is_empty());
+        assert_eq!(s.num_events(), 0);
     }
 
     #[test]

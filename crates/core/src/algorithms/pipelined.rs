@@ -7,7 +7,7 @@ use crate::chunk::ChunkRange;
 use crate::error::AlgorithmError;
 use crate::event::{CollectiveOp, EventId, FlowId};
 use crate::schedule::CommSchedule;
-use mt_topology::{NodeId, Topology};
+use mt_topology::{LinkId, NodeId, Topology};
 use std::collections::HashMap;
 
 /// Lowers `trees` (each spanning all nodes; edge `step` = child depth)
@@ -32,6 +32,7 @@ pub(crate) fn lower_pipelined(
     };
     // reduce rounds are 1..=tot_rounds (c + ecc(child) ≤ pc + max_h - 1)
     let mut reverse_used = ReverseSlots::new(tot_rounds, topo.num_links());
+    let mut rev: Vec<LinkId> = Vec::new();
     for (ti, tree) in trees.iter().enumerate() {
         let flow = FlowId(ti);
         let root = tree.root;
@@ -57,13 +58,13 @@ pub(crate) fn lower_pipelined(
         sends.sort_by_key(|(round, e, _)| (*round, e.child));
         for (round, e, c) in &sends {
             let seg = ti as u32 * pc + (c - 1);
-            let deps: Vec<EventId> = tree
+            let deps = tree
                 .edges
                 .iter()
                 .filter(|x| x.parent == e.child)
-                .map(|x| reduce_of[&(x.child, *c)])
-                .collect();
-            let rev = reverse_path(topo, e, *round, &mut reverse_used)?;
+                .map(|x| reduce_of[&(x.child, *c)]);
+            rev.clear();
+            reverse_path(topo, e, *round, &mut reverse_used, &mut rev)?;
             let id = s.push_event(
                 e.child,
                 e.parent,
@@ -72,7 +73,7 @@ pub(crate) fn lower_pipelined(
                 ChunkRange::single(seg),
                 *round,
                 deps,
-                Some(rev),
+                Some(&rev),
             );
             reduce_of.insert((e.child, *c), id);
             if e.parent == root {
@@ -91,10 +92,10 @@ pub(crate) fn lower_pipelined(
         bcasts.sort_by_key(|(round, e, _)| (*round, e.child));
         for (round, e, c) in &bcasts {
             let seg = ti as u32 * pc + (c - 1);
-            let deps: Vec<EventId> = if e.parent == root {
-                reduces_into_root[(*c - 1) as usize].clone()
+            let deps: &[EventId] = if e.parent == root {
+                &reduces_into_root[(*c - 1) as usize]
             } else {
-                vec![gather_of[&(e.parent, *c)]]
+                std::slice::from_ref(&gather_of[&(e.parent, *c)])
             };
             let id = s.push_event(
                 e.parent,
@@ -103,8 +104,8 @@ pub(crate) fn lower_pipelined(
                 CollectiveOp::Gather,
                 ChunkRange::single(seg),
                 *round,
-                deps,
-                Some(e.path.clone()),
+                deps.iter().copied(),
+                Some(&e.path),
             );
             gather_of.insert((e.child, *c), id);
         }

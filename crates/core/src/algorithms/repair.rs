@@ -661,7 +661,7 @@ mod tests {
         assert!(repaired.report.rebuilt_edges > 0);
         // no event of the repaired schedule traverses a dead link
         for e in repaired.schedule.events() {
-            for l in e.path.as_ref().unwrap() {
+            for l in e.path().unwrap() {
                 assert!(!dead.contains(l), "event path uses dead link {l:?}");
             }
         }
@@ -694,7 +694,6 @@ mod tests {
         assert!(repaired
             .schedule
             .events()
-            .iter()
             .all(|e| e.src.index() != 5 && e.dst.index() != 5));
     }
 

@@ -147,8 +147,7 @@ fn ring_allreduce(
         for j in 0..m {
             let src = ring.at(j + step);
             let dst = ring.at(j + step + 1);
-            let mut deps: Vec<EventId> = carry_in.get(&src).cloned().unwrap_or_default();
-            deps.extend(last[j]);
+            let deps = carry_in.get(&src).into_iter().flatten().copied().chain(last[j]);
             let id = s.push_event(
                 src,
                 dst,
@@ -172,8 +171,7 @@ fn ring_allreduce(
             let dst = ring.at(j + step);
             // carry_in matters for the owner starting the broadcast: its
             // buffer's prior-phase contributions arrived via those events
-            let mut deps: Vec<EventId> = carry_in.get(&src).cloned().unwrap_or_default();
-            deps.extend(last[j]);
+            let deps = carry_in.get(&src).into_iter().flatten().copied().chain(last[j]);
             let id = s.push_event(
                 src,
                 dst,

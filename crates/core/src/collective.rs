@@ -19,7 +19,7 @@
 //!   relabeled in per-tree DFS order so every subtree is a contiguous
 //!   [`ChunkRange`]).
 
-use crate::algorithms::{MultiTree, Tree};
+use crate::algorithms::{ForestEdge, MultiTree, Tree, TreeLowering};
 use crate::chunk::ChunkRange;
 use crate::error::AlgorithmError;
 use crate::event::{CollectiveOp, EventId, FlowId};
@@ -55,6 +55,7 @@ impl MultiTree {
         }
         let forest = self.construct_forest(topo)?;
         let tot = forest.total_steps;
+        let mut rev = Vec::new();
         for tree in &forest.trees {
             let flow = FlowId(tree.root.index());
             let chunk = ChunkRange::single(tree.root.index() as u32);
@@ -62,8 +63,9 @@ impl MultiTree {
             edges.sort_by_key(|e| std::cmp::Reverse(e.step));
             let mut reduces_into: HashMap<NodeId, Vec<EventId>> = HashMap::new();
             for e in edges {
-                let deps = reduces_into.get(&e.child).cloned().unwrap_or_default();
-                let rev: Vec<_> = e.path.iter().rev().map(|&l| reverse_of(topo, l)).collect();
+                let deps = reduces_into.get(&e.child).map_or(&[][..], Vec::as_slice);
+                rev.clear();
+                rev.extend(e.path.iter().rev().map(|&l| reverse_of(topo, l)));
                 let id = s.push_event(
                     e.child,
                     e.parent,
@@ -71,8 +73,8 @@ impl MultiTree {
                     CollectiveOp::Reduce,
                     chunk,
                     tot - e.step + 1,
-                    deps,
-                    Some(rev),
+                    deps.iter().copied(),
+                    Some(&rev),
                 );
                 reduces_into.entry(e.parent).or_default().push(id);
             }
@@ -93,10 +95,12 @@ impl MultiTree {
             return Ok(s);
         }
         let forest = self.construct_forest(topo)?;
+        let mut low = TreeLowering::new(n);
         for tree in &forest.trees {
             let flow = FlowId(tree.root.index());
             let chunk = ChunkRange::single(tree.root.index() as u32);
-            emit_gather_tree(&mut s, tree, flow, chunk, 0, &[]);
+            low.clear();
+            low.gather(&mut s, tree, flow, |_| chunk, 0, &[]);
         }
         Ok(s)
     }
@@ -124,7 +128,8 @@ impl MultiTree {
         }
         let forest = self.construct_forest(topo)?;
         let tree = &forest.trees[root.index()];
-        emit_gather_tree(&mut s, tree, FlowId(root.index()), ChunkRange::new(0, 1), 0, &[]);
+        let whole = ChunkRange::new(0, 1);
+        TreeLowering::new(n).gather(&mut s, tree, FlowId(root.index()), |_| whole, 0, &[]);
         Ok(s)
     }
 
@@ -163,6 +168,7 @@ impl MultiTree {
             });
         }
         let forest = self.construct_forest(topo)?;
+        let mut low = TreeLowering::new(n);
         for tree in &forest.trees {
             let i = tree.root.index();
             // DFS positions make every subtree a contiguous segment range.
@@ -174,64 +180,18 @@ impl MultiTree {
             }
             // Every tree edge forwards the chunks destined to the child's
             // subtree: segments [i*n + pos(child), i*n + pos(child) + size).
-            let mut gather_into: HashMap<NodeId, EventId> = HashMap::new();
-            let mut edges: Vec<_> = tree.edges.iter().collect();
-            edges.sort_by_key(|e| e.step);
-            for e in edges {
-                let lo = (i * n) as u32 + pos[e.child.index()] as u32;
-                let hi = lo + subtree_size[e.child.index()] as u32;
-                let deps: Vec<EventId> = gather_into.get(&e.parent).copied().into_iter().collect();
-                let id = s.push_event(
-                    e.parent,
-                    e.child,
-                    FlowId(i),
-                    CollectiveOp::Gather,
-                    ChunkRange::new(lo, hi),
-                    e.step,
-                    deps,
-                    Some(e.path.clone()),
-                );
-                gather_into.insert(e.child, id);
-            }
+            let subtree = |e: &ForestEdge| {
+                let lo = (i * n + pos[e.child.index()]) as u32;
+                ChunkRange::new(lo, lo + subtree_size[e.child.index()] as u32)
+            };
+            low.clear();
+            low.gather(&mut s, tree, FlowId(i), subtree, 0, &[]);
         }
         Ok(AllToAllPlan {
             schedule: s,
             src_of,
             dst_of,
         })
-    }
-}
-
-/// Emits one tree's top-down gather events (used by all-gather and
-/// broadcast). `extra_root_deps` gates the root's first sends.
-fn emit_gather_tree(
-    s: &mut CommSchedule,
-    tree: &Tree,
-    flow: FlowId,
-    chunk: ChunkRange,
-    base_step: u32,
-    extra_root_deps: &[EventId],
-) {
-    let mut gather_into: HashMap<NodeId, EventId> = HashMap::new();
-    let mut edges: Vec<_> = tree.edges.iter().collect();
-    edges.sort_by_key(|e| e.step);
-    for e in edges {
-        let deps: Vec<EventId> = if e.parent == tree.root {
-            extra_root_deps.to_vec()
-        } else {
-            vec![gather_into[&e.parent]]
-        };
-        let id = s.push_event(
-            e.parent,
-            e.child,
-            flow,
-            CollectiveOp::Gather,
-            chunk,
-            base_step + e.step,
-            deps,
-            Some(e.path.clone()),
-        );
-        gather_into.insert(e.child, id);
     }
 }
 
@@ -285,10 +245,13 @@ fn dfs_layout(tree: &Tree) -> (Vec<usize>, Vec<usize>) {
 /// Returns [`AlgorithmError::VerificationFailed`] naming the first
 /// segment that is not fully reduced anywhere.
 pub fn verify_reduce_scatter(schedule: &CommSchedule) -> Result<(), AlgorithmError> {
-    let flow = run_dataflow(schedule, |e| match e.op {
+    let flow = run_dataflow(schedule, |i| match schedule.ops()[i] {
         CollectiveOp::Reduce => Ok(()),
         CollectiveOp::Gather => Err(AlgorithmError::MalformedSchedule {
-            detail: format!("reduce-scatter schedule contains a gather: {e}"),
+            detail: format!(
+                "reduce-scatter schedule contains a gather: {}",
+                schedule.event(EventId::new(i))
+            ),
         }),
     })?;
     let n = schedule.num_nodes();
@@ -328,28 +291,21 @@ pub fn verify_distribution(
     for seg in 0..segs {
         has[owner_of(seg).index()][seg as usize] = true;
     }
-    // valid[event][i]: the event's payload for its i-th segment is real
-    let mut valid: Vec<Vec<bool>> = Vec::with_capacity(schedule.events().len());
-    for e in schedule.topological_order() {
-        let mut v = Vec::with_capacity(e.chunk.len() as usize);
+    // events are checked in topological order and the first undeclared
+    // forward fails, so every earlier delivery carries real data
+    for e in schedule.events() {
         for seg in e.chunk.segments() {
-            let owner = owner_of(seg) == e.src;
-            let via_dep = e.deps.iter().any(|d| {
+            let via_dep = e.deps().iter().any(|d| {
                 let dep = schedule.event(*d);
-                dep.dst == e.src
-                    && dep.chunk.contains(seg)
-                    && valid[d.index()][(seg - dep.chunk.start) as usize]
+                dep.dst == e.src && dep.chunk.contains(seg)
             });
-            let ok = owner || via_dep;
-            if !ok {
+            if owner_of(seg) != e.src && !via_dep {
                 return Err(AlgorithmError::VerificationFailed {
                     detail: format!("{e} forwards segment {seg} it never validly received"),
                 });
             }
             has[e.dst.index()][seg as usize] = true;
-            v.push(ok);
         }
-        valid.push(v);
     }
     for seg in 0..segs {
         for node in must_receive(seg) {
@@ -470,20 +426,8 @@ mod tests {
         // segment
         let topo = Topology::torus(4, 4);
         let plan = MultiTree::default().build_all_to_all(&topo).unwrap();
-        let max = plan
-            .schedule
-            .events()
-            .iter()
-            .map(|e| e.chunk.len())
-            .max()
-            .unwrap();
-        let min = plan
-            .schedule
-            .events()
-            .iter()
-            .map(|e| e.chunk.len())
-            .min()
-            .unwrap();
+        let max = plan.schedule.events().map(|e| e.chunk.len()).max().unwrap();
+        let min = plan.schedule.events().map(|e| e.chunk.len()).min().unwrap();
         assert!(max > min);
         assert_eq!(min, 1);
     }
@@ -553,16 +497,20 @@ mod tests {
     #[test]
     fn single_node_collectives_are_empty() {
         let topo = Topology::mesh(1, 1);
-        assert!(MultiTree::default()
-            .build_reduce_scatter(&topo)
-            .unwrap()
-            .events()
-            .is_empty());
-        assert!(MultiTree::default()
-            .build_all_to_all(&topo)
-            .unwrap()
-            .schedule
-            .events()
-            .is_empty());
+        assert!(
+            MultiTree::default()
+                .build_reduce_scatter(&topo)
+                .unwrap()
+                .num_events()
+                == 0
+        );
+        assert!(
+            MultiTree::default()
+                .build_all_to_all(&topo)
+                .unwrap()
+                .schedule
+                .num_events()
+                == 0
+        );
     }
 }

@@ -87,7 +87,7 @@ pub fn analyze(schedule: &CommSchedule, topo: &Topology, total_bytes: u64) -> Sc
 
     for step_events in schedule.events_by_step() {
         let mut usage: HashMap<LinkId, u32> = HashMap::new();
-        for e in &step_events {
+        for &e in &step_events {
             let path = event_path(e, topo);
             max_hops = max_hops.max(path.len());
             hop_sum += path.len();
@@ -135,12 +135,11 @@ pub fn analyze(schedule: &CommSchedule, topo: &Topology, total_bytes: u64) -> Sc
 /// message latencies that must strictly serialize no matter how much
 /// bandwidth the network offers.
 pub fn critical_path(schedule: &CommSchedule) -> usize {
-    let events = schedule.events();
-    let mut depth = vec![0usize; events.len()];
+    let mut depth = vec![0usize; schedule.num_events()];
     let mut max = 0;
-    for (i, e) in events.iter().enumerate() {
+    for (i, e) in schedule.events().enumerate() {
         let d = e
-            .deps
+            .deps()
             .iter()
             .map(|d| depth[d.index()] + 1)
             .max()
@@ -183,7 +182,7 @@ pub fn step_profile(schedule: &CommSchedule, topo: &Topology, total_bytes: u64) 
         .map(|(i, events)| {
             let mut link_bytes: HashMap<LinkId, u64> = HashMap::new();
             let mut bytes = 0u64;
-            for e in events {
+            for &e in events {
                 let b = e.bytes(total_bytes, schedule.total_segments());
                 bytes += b;
                 for l in event_path(e, topo).iter() {
@@ -211,9 +210,9 @@ pub fn step_profile(schedule: &CommSchedule, topo: &Topology, total_bytes: u64) 
 /// Borrows the event's stored path when one exists (the common case for
 /// link-allocating algorithms like MultiTree), allocating only when a
 /// route must be computed.
-pub fn event_path<'e>(e: &'e CommEvent, topo: &Topology) -> Cow<'e, [LinkId]> {
-    match &e.path {
-        Some(p) => Cow::Borrowed(p.as_slice()),
+pub fn event_path<'e>(e: CommEvent<'e>, topo: &Topology) -> Cow<'e, [LinkId]> {
+    match e.path() {
+        Some(p) => Cow::Borrowed(p),
         None => Cow::Owned(topo.route(e.src.into(), e.dst.into())),
     }
 }
@@ -235,7 +234,7 @@ pub fn alpha_beta_time_ns(
     for step_events in schedule.events_by_step() {
         let mut link_bytes: HashMap<LinkId, u64> = HashMap::new();
         let mut max_hops = 0usize;
-        for e in &step_events {
+        for &e in &step_events {
             let bytes = e.bytes(total_bytes, schedule.total_segments());
             let path = event_path(e, topo);
             max_hops = max_hops.max(path.len());

@@ -7,17 +7,22 @@ use std::fmt;
 
 /// Index of an event within its [`CommSchedule`](crate::CommSchedule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct EventId(usize);
+pub struct EventId(u32);
 
 impl EventId {
     /// Creates an event id from a dense index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit the 32-bit id space.
     pub const fn new(index: usize) -> Self {
-        EventId(index)
+        assert!(index <= u32::MAX as usize, "event index exceeds u32");
+        EventId(index as u32)
     }
 
     /// The dense index.
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -63,10 +68,13 @@ impl fmt::Display for CollectiveOp {
     }
 }
 
-/// One point-to-point message of a collective schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CommEvent {
-    /// This event's id (its index in the schedule's event vector).
+/// One point-to-point message of a collective schedule: a borrowed,
+/// `Copy` view of one row of a [`CommSchedule`](crate::CommSchedule)'s
+/// event columns. The fixed-width fields are copied out; the dependency
+/// list and the explicit path borrow the schedule's CSR arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommEvent<'a> {
+    /// This event's id (its index in the schedule).
     pub id: EventId,
     /// Sending node.
     pub src: NodeId,
@@ -80,22 +88,30 @@ pub struct CommEvent {
     pub chunk: ChunkRange,
     /// Lockstep time step (1-based, as in the paper's schedule tables).
     pub step: u32,
-    /// Events whose completion makes this event's payload valid at `src`.
-    pub deps: Vec<EventId>,
-    /// Explicit link path allocated by the algorithm (MultiTree allocates
-    /// every hop itself); `None` means "use the topology's deterministic
-    /// routing".
-    pub path: Option<Vec<LinkId>>,
+    pub(crate) deps: &'a [EventId],
+    pub(crate) path: Option<&'a [LinkId]>,
 }
 
-impl CommEvent {
+impl<'a> CommEvent<'a> {
+    /// Events whose completion makes this event's payload valid at `src`.
+    pub fn deps(&self) -> &'a [EventId] {
+        self.deps
+    }
+
+    /// Explicit link path allocated by the algorithm (MultiTree allocates
+    /// every hop itself); `None` means "use the topology's deterministic
+    /// routing". `Some(&[])` is a distinct, explicitly empty path.
+    pub fn path(&self) -> Option<&'a [LinkId]> {
+        self.path
+    }
+
     /// Payload bytes of this event for a given total all-reduce size.
     pub fn bytes(&self, total_bytes: u64, total_segments: u32) -> u64 {
         self.chunk.bytes(total_bytes, total_segments)
     }
 }
 
-impl fmt::Display for CommEvent {
+impl fmt::Display for CommEvent<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -119,7 +135,7 @@ mod tests {
             op: CollectiveOp::Reduce,
             chunk: ChunkRange::single(3),
             step: 1,
-            deps: vec![],
+            deps: &[],
             path: None,
         };
         assert_eq!(e.to_string(), "E0 N1->N2 Reduce F3 chunk [3, 4) @step 1");
@@ -135,7 +151,7 @@ mod tests {
             op: CollectiveOp::Gather,
             chunk: ChunkRange::new(0, 2),
             step: 1,
-            deps: vec![],
+            deps: &[],
             path: None,
         };
         assert_eq!(e.bytes(1024, 4), 512);

@@ -20,48 +20,44 @@
 //! framing) are deliberately *not* precomputed: they change between runs
 //! of a sweep while everything stored here stays fixed.
 
-use crate::cost::event_path;
+use crate::chunk::ChunkRange;
 use crate::error::AlgorithmError;
-use crate::event::CommEvent;
+use crate::event::{CommEvent, FlowId};
 use crate::schedule::CommSchedule;
 use mt_topology::{LinkId, Topology};
 use std::borrow::Cow;
 
 /// The owned, source-independent half of a [`PreparedSchedule`]: every
-/// per-event array, flattened into CSR form. Computed once by
+/// derived per-event array, flattened into CSR form. Computed once by
 /// [`PreparedData::compute`] and valid for exactly the `(schedule,
 /// topology)` pair it was computed from.
+///
+/// Explicit paths are not copied: they stay in the schedule's path arena,
+/// and only the events the schedule leaves unrouted get their routed
+/// links stored here.
 #[derive(Debug, Clone)]
 pub struct PreparedData {
-    /// CSR offsets into `path_links`, length `num_events + 1`.
-    path_offsets: Vec<u32>,
-    /// Concatenated per-event link paths.
-    path_links: Vec<LinkId>,
+    /// CSR offsets over every event's hops (explicit or routed), length
+    /// `num_events + 1`; indexes `path_caps`.
+    hop_offsets: Vec<u32>,
+    /// The routed links of unrouted events, concatenated. Event `i`'s
+    /// routed span starts at `hop_offsets[i]` minus the schedule's
+    /// explicit links before it (`CommSchedule::explicit_links_before`).
+    routed_links: Vec<LinkId>,
     /// Per-hop effective link rates (`capacity * rate`, see
-    /// `Topology::link_rate`) aligned with `path_links`, pre-widened to
-    /// `f64` so the engines' serialization divide needs no lookup. On
-    /// uniform topologies these are exactly the integer capacities.
+    /// `Topology::link_rate`), pre-widened to `f64` so the engines'
+    /// serialization divide needs no lookup. On uniform topologies these
+    /// are exactly the integer capacities.
     path_caps: Vec<f64>,
-    /// Per-event bottleneck (minimum) link capacity, clamped to >= 1.
-    /// Rate-blind: counts multigraph width only.
-    min_caps: Vec<u32>,
     /// Per-event bottleneck (minimum) *effective* link rate along the
-    /// path. Equals `f64::from(min_caps[i])` exactly on uniform
-    /// topologies.
+    /// path, 1.0 for an empty path. Exactly the smallest integer capacity
+    /// on uniform topologies.
     min_rates: Vec<f64>,
     /// CSR offsets into `dependent_ids`, length `num_events + 1`.
     dependent_offsets: Vec<u32>,
     /// Concatenated dependents: events that list the row event as a dep,
     /// in schedule order.
     dependent_ids: Vec<u32>,
-    /// Per-event dependency count (the DAG indegree).
-    indegree: Vec<u32>,
-    /// Per-event lockstep step, densely packed for the engines' hot
-    /// loops (random access into the full `CommEvent` array thrashes
-    /// cache; these fit in L2 even for thousand-event schedules).
-    steps: Vec<u32>,
-    /// Per-event source node index, densely packed (same rationale).
-    srcs: Vec<u32>,
 }
 
 impl PreparedData {
@@ -70,100 +66,91 @@ impl PreparedData {
     /// # Errors
     ///
     /// Returns [`AlgorithmError::MalformedSchedule`] if the schedule
-    /// fails [`CommSchedule::validate`].
+    /// fails [`CommSchedule::validate`] or an unrouted event's endpoints
+    /// are unreachable in `topo`.
     pub fn compute(schedule: &CommSchedule, topo: &Topology) -> Result<Self, AlgorithmError> {
         schedule.validate()?;
-        let events = schedule.events();
-        let n = events.len();
+        let n = schedule.num_events();
 
-        let mut path_offsets = Vec::with_capacity(n + 1);
-        let mut path_links = Vec::new();
-        let mut path_caps = Vec::new();
-        let mut min_caps = Vec::with_capacity(n);
+        let mut hop_offsets = Vec::with_capacity(n + 1);
+        let mut routed_links = Vec::new();
+        let mut path_caps = Vec::with_capacity(schedule.explicit_links_before(n));
         let mut min_rates = Vec::with_capacity(n);
-        path_offsets.push(0u32);
-        for e in events {
-            let path = event_path(e, topo);
-            min_caps.push(
-                path.iter()
-                    .map(|l| topo.link(*l).capacity)
-                    .min()
-                    .unwrap_or(1)
-                    .max(1),
-            );
+        hop_offsets.push(0u32);
+        for i in 0..n {
+            let path = match schedule.path(i) {
+                Some(p) => p,
+                None => {
+                    let start = routed_links.len();
+                    let (src, dst) = (schedule.srcs()[i] as usize, schedule.dsts()[i] as usize);
+                    topo.route_into(src.into(), dst.into(), &mut routed_links)
+                        .map_err(|e| AlgorithmError::MalformedSchedule {
+                            detail: format!("event {i} cannot be routed: {e}"),
+                        })?;
+                    &routed_links[start..]
+                }
+            };
             let mr = path
                 .iter()
                 .map(|l| topo.link_rate(*l))
                 .fold(f64::INFINITY, f64::min);
             min_rates.push(if mr.is_finite() { mr } else { 1.0 });
             path_caps.extend(path.iter().map(|l| topo.link_rate(*l)));
-            path_links.extend_from_slice(&path);
-            path_offsets.push(path_links.len() as u32);
+            hop_offsets.push(path_caps.len() as u32);
         }
+        routed_links.shrink_to_fit();
+        path_caps.shrink_to_fit();
 
-        // dependents adjacency via counting sort; filling in schedule
-        // order keeps each row sorted by dependent id
-        let mut indegree = Vec::with_capacity(n);
-        let mut steps = Vec::with_capacity(n);
-        let mut srcs = Vec::with_capacity(n);
-        let mut out_count = vec![0u32; n];
-        for e in events {
-            indegree.push(e.deps.len() as u32);
-            steps.push(e.step);
-            srcs.push(e.src.index() as u32);
-            for d in &e.deps {
-                out_count[d.index()] += 1;
+        // dependents adjacency via counting sort over the schedule's
+        // dependency arena; filling in schedule order keeps each row
+        // sorted by dependent id
+        let mut dependent_offsets = vec![0u32; n + 1];
+        for i in 0..n {
+            for d in schedule.deps(i) {
+                dependent_offsets[d.index() + 1] += 1;
             }
         }
-        let mut dependent_offsets = Vec::with_capacity(n + 1);
-        dependent_offsets.push(0u32);
-        for c in &out_count {
-            dependent_offsets.push(dependent_offsets.last().expect("non-empty") + c);
+        for i in 0..n {
+            dependent_offsets[i + 1] += dependent_offsets[i];
         }
         let mut cursor: Vec<u32> = dependent_offsets[..n].to_vec();
         let mut dependent_ids = vec![0u32; dependent_offsets[n] as usize];
-        for e in events {
-            for d in &e.deps {
+        for i in 0..n {
+            for d in schedule.deps(i) {
                 let slot = &mut cursor[d.index()];
-                dependent_ids[*slot as usize] = e.id.index() as u32;
+                dependent_ids[*slot as usize] = i as u32;
                 *slot += 1;
             }
         }
 
         Ok(PreparedData {
-            path_offsets,
-            path_links,
+            hop_offsets,
+            routed_links,
             path_caps,
-            min_caps,
             min_rates,
             dependent_offsets,
             dependent_ids,
-            indegree,
-            steps,
-            srcs,
         })
     }
 
     /// Number of events these arrays were computed for.
     pub fn num_events(&self) -> usize {
-        self.min_caps.len()
+        self.min_rates.len()
     }
 
-    /// Bytes of heap the flattened arrays occupy — what a byte-budgeted
-    /// cache charges for keeping this artifact resident. Counts array
-    /// contents (by `len`, the dominant term), not allocator slack.
+    /// Bytes of heap the arrays occupy: the allocated capacity of every
+    /// one — what a byte-budgeted cache charges for keeping this artifact
+    /// resident.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.path_offsets.len() * size_of::<u32>()
-            + self.path_links.len() * size_of::<LinkId>()
-            + self.path_caps.len() * size_of::<f64>()
-            + self.min_caps.len() * size_of::<u32>()
-            + self.min_rates.len() * size_of::<f64>()
-            + self.dependent_offsets.len() * size_of::<u32>()
-            + self.dependent_ids.len() * size_of::<u32>()
-            + self.indegree.len() * size_of::<u32>()
-            + self.steps.len() * size_of::<u32>()
-            + self.srcs.len() * size_of::<u32>()
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        cap(&self.hop_offsets)
+            + cap(&self.routed_links)
+            + cap(&self.path_caps)
+            + cap(&self.min_rates)
+            + cap(&self.dependent_offsets)
+            + cap(&self.dependent_ids)
     }
 }
 
@@ -219,7 +206,7 @@ impl<'a> PreparedSchedule<'a> {
     ) -> Self {
         assert_eq!(
             data.num_events(),
-            schedule.events().len(),
+            schedule.num_events(),
             "PreparedData does not match the schedule it is attached to"
         );
         PreparedSchedule {
@@ -285,37 +272,50 @@ impl<'a> PreparedSchedule<'a> {
 
     /// Number of events in the schedule.
     pub fn num_events(&self) -> usize {
-        self.data.min_caps.len()
+        self.data.min_rates.len()
     }
 
     /// The events, indexable by the same indices every accessor takes.
-    pub fn events(&self) -> &'a [CommEvent] {
+    pub fn events(&self) -> impl ExactSizeIterator<Item = CommEvent<'a>> + 'a {
         self.schedule.events()
     }
 
-    /// The resolved physical link path of event `i`.
+    /// The physical link path of event `i`: its explicit path when the
+    /// schedule has one, else the route resolved at compute time.
+    #[inline]
     pub fn path(&self, i: usize) -> &[LinkId] {
-        &self.data.path_links
-            [self.data.path_offsets[i] as usize..self.data.path_offsets[i + 1] as usize]
+        match self.schedule.path(i) {
+            Some(p) => p,
+            None => {
+                let before = self.schedule.explicit_links_before(i);
+                let hops = self.hop_range(i);
+                &self.data.routed_links[hops.start - before..hops.end - before]
+            }
+        }
+    }
+
+    /// Event `i`'s span of the per-hop arrays.
+    #[inline]
+    fn hop_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.data.hop_offsets[i] as usize..self.data.hop_offsets[i + 1] as usize
     }
 
     /// The effective rates (`capacity * rate`) of event `i`'s path
     /// links, as `f64`, aligned with [`PreparedSchedule::path`]. On
     /// uniform topologies these are exactly the integer capacities.
     pub fn path_capacities(&self, i: usize) -> &[f64] {
-        &self.data.path_caps
-            [self.data.path_offsets[i] as usize..self.data.path_offsets[i + 1] as usize]
+        &self.data.path_caps[self.hop_range(i)]
     }
 
     /// Hop count of event `i`'s path.
     pub fn hops(&self, i: usize) -> usize {
-        (self.data.path_offsets[i + 1] - self.data.path_offsets[i]) as usize
+        (self.data.hop_offsets[i + 1] - self.data.hop_offsets[i]) as usize
     }
 
     /// The first link of event `i`'s path — the injection port a
     /// cycle-accurate NI enqueues the message on. Paths are never empty.
     pub fn first_link(&self, i: usize) -> LinkId {
-        self.data.path_links[self.data.path_offsets[i] as usize]
+        self.path(i)[0]
     }
 
     /// The bottleneck (minimum) capacity along event `i`'s path, in link
@@ -323,7 +323,12 @@ impl<'a> PreparedSchedule<'a> {
     /// [`PreparedSchedule::min_rate`] for the effective-bandwidth
     /// bottleneck.
     pub fn min_capacity(&self, i: usize) -> u32 {
-        self.data.min_caps[i]
+        self.path(i)
+            .iter()
+            .map(|l| self.topo.link(*l).capacity)
+            .min()
+            .unwrap_or(1)
+            .max(1)
     }
 
     /// The bottleneck (minimum) *effective* rate along event `i`'s path,
@@ -342,22 +347,34 @@ impl<'a> PreparedSchedule<'a> {
 
     /// Number of dependencies event `i` waits on.
     pub fn indegree(&self, i: usize) -> u32 {
-        self.data.indegree[i]
+        self.schedule.indegree(i)
     }
 
     /// The lockstep step of event `i`.
     pub fn step(&self, i: usize) -> u32 {
-        self.data.steps[i]
+        self.schedule.steps()[i]
+    }
+
+    /// The data segments event `i` carries.
+    #[inline]
+    pub fn chunk(&self, i: usize) -> ChunkRange {
+        self.schedule.chunks()[i]
+    }
+
+    /// The flow event `i` belongs to.
+    #[inline]
+    pub fn flow(&self, i: usize) -> FlowId {
+        FlowId(self.schedule.flows()[i] as usize)
     }
 
     /// The source node index of event `i`.
     pub fn src_index(&self, i: usize) -> usize {
-        self.data.srcs[i] as usize
+        self.schedule.srcs()[i] as usize
     }
 
     /// The indegree of every event (a fresh copy, ready to count down).
     pub fn indegree_vec(&self) -> Vec<u32> {
-        self.data.indegree.clone()
+        (0..self.num_events()).map(|i| self.indegree(i)).collect()
     }
 }
 
@@ -365,6 +382,8 @@ impl<'a> PreparedSchedule<'a> {
 mod tests {
     use super::*;
     use crate::algorithms::{AllReduce, DbTree, MultiTree, Ring};
+    use crate::cost::event_path;
+    use crate::EventId;
 
     #[test]
     fn paths_match_event_path() {
@@ -377,7 +396,7 @@ mod tests {
             let s = algo.build(&topo).unwrap();
             let prep = PreparedSchedule::new(&s, &topo).unwrap();
             assert_eq!(prep.num_events(), s.events().len());
-            for (i, e) in s.events().iter().enumerate() {
+            for (i, e) in s.events().enumerate() {
                 let expect = event_path(e, &topo);
                 assert_eq!(prep.path(i), &*expect);
                 assert_eq!(prep.hops(i), expect.len());
@@ -399,6 +418,49 @@ mod tests {
                 assert_eq!(prep.src_index(i), e.src.index());
             }
         }
+    }
+
+    #[test]
+    fn mixed_explicit_and_routed_paths_resolve() {
+        // ring events defer to routing, MultiTree events carry paths:
+        // interleaving both exercises the routed-span offsets
+        let topo = Topology::torus(4, 4);
+        let ring = Ring.build(&topo).unwrap();
+        let tree = MultiTree::default().build(&topo).unwrap();
+        for s in [
+            ring.then(&tree),
+            tree.then(&ring),
+            tree.merge_concurrent(&ring),
+        ] {
+            let prep = PreparedSchedule::new(&s, &topo).unwrap();
+            for (i, e) in s.events().enumerate() {
+                assert_eq!(prep.path(i), &*event_path(e, &topo), "event {i}");
+                assert_eq!(prep.first_link(i), prep.path(i)[0]);
+            }
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_array_capacity() {
+        use std::mem::size_of;
+        let topo = Topology::torus(4, 4);
+        for s in [
+            Ring.build(&topo).unwrap(),
+            MultiTree::default().build(&topo).unwrap(),
+        ] {
+            let d = PreparedData::compute(&s, &topo).unwrap();
+            let expect = (d.hop_offsets.capacity()
+                + d.dependent_offsets.capacity()
+                + d.dependent_ids.capacity())
+                * size_of::<u32>()
+                + d.routed_links.capacity() * size_of::<LinkId>()
+                + (d.path_caps.capacity() + d.min_rates.capacity()) * size_of::<f64>();
+            assert_eq!(d.heap_bytes(), expect);
+        }
+        // explicit paths are not copied: MultiTree routes nothing here
+        let tree = MultiTree::default().build(&topo).unwrap();
+        let d = PreparedData::compute(&tree, &topo).unwrap();
+        assert_eq!(d.routed_links.capacity(), 0);
     }
 
     #[test]
@@ -433,13 +495,16 @@ mod tests {
         // CSR rows must equal the naive Vec<Vec> construction
         let mut naive: Vec<Vec<u32>> = vec![Vec::new(); s.events().len()];
         for e in s.events() {
-            for d in &e.deps {
+            for d in e.deps() {
                 naive[d.index()].push(e.id.index() as u32);
             }
         }
         for (i, row) in naive.iter().enumerate() {
             assert_eq!(prep.dependents(i), row.as_slice(), "row {i}");
-            assert_eq!(prep.indegree(i), s.events()[i].deps.len() as u32);
+            assert_eq!(
+                prep.indegree(i),
+                s.event(EventId::new(i)).deps().len() as u32
+            );
         }
         // a DAG invariant: edge counts agree in both directions
         let total: u32 = (0..s.events().len()).map(|i| prep.indegree(i)).sum();

@@ -133,7 +133,7 @@ pub fn build_tables(schedule: &CommSchedule, total_bytes: u64) -> Vec<ScheduleTa
     for node in 0..n {
         let node_id = NodeId::new(node);
         // group sends by (step, flow, op)
-        let mut groups: BTreeMap<(u32, usize, bool), Vec<&crate::event::CommEvent>> =
+        let mut groups: BTreeMap<(u32, usize, bool), Vec<crate::event::CommEvent<'_>>> =
             BTreeMap::new();
         for e in schedule.events_from(node_id) {
             let is_gather = e.op == CollectiveOp::Gather;
@@ -153,13 +153,13 @@ pub fn build_tables(schedule: &CommSchedule, total_bytes: u64) -> Vec<ScheduleTa
                 .unwrap_or(0);
             if is_gather {
                 // parent = the gather dependency's source (if any)
-                let parent = first.deps.iter().find_map(|d| {
+                let parent = first.deps().iter().find_map(|d| {
                     let dep = schedule.event(*d);
                     (dep.op == CollectiveOp::Gather && dep.dst == node_id).then_some(dep.src)
                 });
                 // aggregation deps: reduce deliveries gating the origin
                 let mut aggregation_from: Vec<NodeId> = first
-                    .deps
+                    .deps()
                     .iter()
                     .filter_map(|d| {
                         let dep = schedule.event(*d);
@@ -182,7 +182,7 @@ pub fn build_tables(schedule: &CommSchedule, total_bytes: u64) -> Vec<ScheduleTa
             } else {
                 for e in events {
                     let children: Vec<NodeId> = e
-                        .deps
+                        .deps()
                         .iter()
                         .filter_map(|d| {
                             let dep = schedule.event(*d);
@@ -319,10 +319,7 @@ mod tests {
         for t in &tables {
             for e in t.entries.iter().filter(|e| e.op == TableOp::Reduce) {
                 for c in &e.children {
-                    assert!(s
-                        .events()
-                        .iter()
-                        .any(|ev| ev.src == *c && ev.dst == t.node));
+                    assert!(s.events().any(|ev| ev.src == *c && ev.dst == t.node));
                 }
             }
         }

@@ -23,7 +23,7 @@
 //! `Vec<u64>`, and numeric buffers are one `n × segments` `f64` vector.
 
 use crate::error::AlgorithmError;
-use crate::event::{CollectiveOp, CommEvent};
+use crate::event::{CollectiveOp, EventId};
 use crate::schedule::CommSchedule;
 
 /// Statistics returned by a successful verification.
@@ -85,10 +85,12 @@ pub fn verify_allreduce_among(
     let segs = schedule.total_segments() as usize;
     let required = node_mask(n, participants.iter().map(|p| p.index()));
 
-    let flow = run_dataflow(schedule, |e| {
-        if has_bit(&required, e.src.index()) && has_bit(&required, e.dst.index()) {
+    let flow = run_dataflow(schedule, |i| {
+        let (src, dst) = (schedule.srcs()[i] as usize, schedule.dsts()[i] as usize);
+        if has_bit(&required, src) && has_bit(&required, dst) {
             Ok(())
         } else {
+            let e = schedule.event(EventId::new(i));
             Err(AlgorithmError::MalformedSchedule {
                 detail: format!("{e} involves a non-participant endpoint"),
             })
@@ -161,19 +163,19 @@ pub fn execute_numeric(
 ) -> Result<Vec<f64>, AlgorithmError> {
     let n = schedule.num_nodes();
     let segs = schedule.total_segments() as usize;
-    let events = schedule.events();
     let mut buf: Vec<f64> = (0..n)
         .flat_map(|i| std::iter::repeat_n(initial(i), segs))
         .collect();
 
     // lockstep rounds serialize only strictly earlier-step dependencies
-    let step_of: Vec<u32> = events.iter().map(|e| e.step).collect();
-    for e in events {
-        if let Some(d) = e.deps.iter().find(|d| step_of[d.index()] >= e.step) {
+    let step_of = schedule.steps();
+    for (i, &step) in step_of.iter().enumerate() {
+        if let Some(d) = schedule.deps(i).iter().find(|d| step_of[d.index()] >= step) {
             return Err(AlgorithmError::MalformedSchedule {
                 detail: format!(
-                    "{e} depends on {} of the same or a later step; \
+                    "{} depends on {} of the same or a later step; \
                      lockstep rounds need strictly earlier-step deps",
+                    schedule.event(EventId::new(i)),
                     schedule.event(*d)
                 ),
             });
@@ -184,21 +186,21 @@ pub fn execute_numeric(
     // event order: step s's moves sit at moves[bounds[s - 1]..bounds[s]].
     let steps = schedule.num_steps() as usize;
     let mut bounds = vec![0usize; steps + 1];
-    for &step in &step_of {
+    for &step in step_of {
         bounds[step as usize] += 1;
     }
     for s in 1..=steps {
         bounds[s] += bounds[s - 1];
     }
-    let mut moves = vec![Move::default(); events.len()];
+    let mut moves = vec![Move::default(); step_of.len()];
     let mut next = bounds.clone();
-    for e in events {
-        let slot = &mut next[e.step as usize - 1];
+    for (i, &step) in step_of.iter().enumerate() {
+        let (slot, chunk) = (&mut next[step as usize - 1], schedule.chunks()[i]);
         moves[*slot] = Move {
-            from: e.src.index() * segs + e.chunk.start as usize,
-            to: e.dst.index() * segs + e.chunk.start as usize,
-            len: e.chunk.len(),
-            gather: e.op == CollectiveOp::Gather,
+            from: schedule.srcs()[i] as usize * segs + chunk.start as usize,
+            to: schedule.dsts()[i] as usize * segs + chunk.start as usize,
+            len: chunk.len(),
+            gather: schedule.ops()[i] == CollectiveOp::Gather,
         };
         *slot += 1;
     }
@@ -261,10 +263,9 @@ pub fn verify_allreduce_numeric(schedule: &CommSchedule) -> Result<VerifyReport,
 
     // two independent integer contribution patterns, both exact in f64:
     // node ranks, and a multiplicative scramble of them
-    let patterns: [&dyn Fn(usize) -> f64; 2] = [
-        &|node| (node + 1) as f64,
-        &|node| ((node as u64).wrapping_mul(2_654_435_761) % (1 << 20) + 1) as f64,
-    ];
+    let patterns: [&dyn Fn(usize) -> f64; 2] = [&|node| (node + 1) as f64, &|node| {
+        ((node as u64).wrapping_mul(2_654_435_761) % (1 << 20) + 1) as f64
+    }];
     for initial in patterns {
         let expected: f64 = (0..n).map(initial).sum();
         let finals = execute_numeric(schedule, initial)?;
@@ -285,12 +286,8 @@ pub fn verify_allreduce_numeric(schedule: &CommSchedule) -> Result<VerifyReport,
 
 /// The event counts of a schedule that verified.
 fn report(schedule: &CommSchedule) -> VerifyReport {
-    let events = schedule.events().len();
-    let gathers = schedule
-        .events()
-        .iter()
-        .filter(|e| e.op == CollectiveOp::Gather)
-        .count();
+    let events = schedule.num_events();
+    let gathers = schedule.ops().iter().filter(|&&op| op == CollectiveOp::Gather).count();
     VerifyReport {
         events,
         gathers,
@@ -368,7 +365,7 @@ fn or_into(dst: &mut [u64], src: &[u64]) {
 ///   segment): the root of a broadcast tree sends its fully reduced local
 ///   buffer, while interior nodes forward exactly what they received.
 ///
-/// `check(e)` sees each event before its payload is derived; its first
+/// `check(i)` sees each event id before its payload is derived; its first
 /// error stops the run. Payloads live in one arena indexed by per-event
 /// prefix offsets, so a dependency's contribution is a single slice OR.
 ///
@@ -377,13 +374,13 @@ fn or_into(dst: &mut [u64], src: &[u64]) {
 /// Structural validation failures, and whatever `check` returns.
 pub(crate) fn run_dataflow(
     schedule: &CommSchedule,
-    mut check: impl FnMut(&CommEvent) -> Result<(), AlgorithmError>,
+    mut check: impl FnMut(usize) -> Result<(), AlgorithmError>,
 ) -> Result<Dataflow, AlgorithmError> {
     schedule.validate()?;
     let n = schedule.num_nodes();
     let segs = schedule.total_segments() as usize;
     let words = n.div_ceil(64);
-    let events = schedule.events();
+    let (dst_of, chunks, ops) = (schedule.dsts(), schedule.chunks(), schedule.ops());
 
     let mut state = vec![0u64; n * segs * words];
     for node in 0..n {
@@ -392,53 +389,53 @@ pub(crate) fn run_dataflow(
         }
     }
     // carried[at[e]..at[e + 1]]: the payload event e delivered
-    let mut at = Vec::with_capacity(events.len() + 1);
+    let mut at = Vec::with_capacity(chunks.len() + 1);
     at.push(0usize);
-    for e in events {
-        at.push(at[at.len() - 1] + e.chunk.len() as usize * words);
+    for c in chunks {
+        at.push(at[at.len() - 1] + c.len() as usize * words);
     }
-    let mut carried = vec![0u64; at[events.len()]];
-    // each event's receiver, compact, so deps that only sequence time
-    // (most of 2D-RING's) are skipped without touching the events
-    let dst_of: Vec<u32> = events.iter().map(|e| e.dst.index() as u32).collect();
+    let mut carried = vec![0u64; at[chunks.len()]];
     // which of the event's segments an incoming Gather dep covers
     let mut gather_fed: Vec<bool> = Vec::new();
 
-    for (id, e) in schedule.topological_order().enumerate() {
-        check(e)?;
+    // columns, not event views: a full row touches a dozen arrays
+    for (id, &chunk) in chunks.iter().enumerate() {
+        check(id)?;
         let (earlier, rest) = carried.split_at_mut(at[id]);
         let payload = &mut rest[..at[id + 1] - at[id]];
-        let (src, start) = (e.src.index(), e.chunk.start);
+        let (src, start) = (schedule.srcs()[id] as usize, chunk.start);
         gather_fed.clear();
-        gather_fed.resize(e.chunk.len() as usize, false);
+        gather_fed.resize(chunk.len() as usize, false);
 
-        for d in &e.deps {
+        for d in schedule.deps(id) {
+            // the receiver column skips deps that only sequence time
+            // (most of 2D-RING's) without reading their chunks
             if dst_of[d.index()] as usize != src {
                 continue;
             }
-            let dep = &events[d.index()];
-            let lo = start.max(dep.chunk.start);
-            let hi = e.chunk.end.min(dep.chunk.end);
+            let dep_chunk = chunks[d.index()];
+            let lo = start.max(dep_chunk.start);
+            let hi = chunk.end.min(dep_chunk.end);
             if lo >= hi {
                 continue;
             }
             let len = (hi - lo) as usize * words;
-            let from = at[d.index()] + (lo - dep.chunk.start) as usize * words;
+            let from = at[d.index()] + (lo - dep_chunk.start) as usize * words;
             let to = (lo - start) as usize * words;
             or_into(&mut payload[to..to + len], &earlier[from..from + len]);
-            if dep.op == CollectiveOp::Gather {
+            if ops[d.index()] == CollectiveOp::Gather {
                 gather_fed[(lo - start) as usize..(hi - start) as usize].fill(true);
             }
         }
 
         let (w, bit) = (src / 64, 1u64 << (src % 64));
         for (set, fed) in payload.chunks_exact_mut(words).zip(&gather_fed) {
-            if e.op == CollectiveOp::Reduce || !fed {
+            if ops[id] == CollectiveOp::Reduce || !fed {
                 set[w] |= bit;
             }
         }
 
-        let base = (e.dst.index() * segs + start as usize) * words;
+        let base = (dst_of[id] as usize * segs + start as usize) * words;
         or_into(&mut state[base..base + payload.len()], payload);
     }
 

@@ -586,8 +586,7 @@ impl CycleEngine {
         let topo = prep.topology();
         let schedule = prep.schedule();
         let cfg = &self.cfg;
-        let events = prep.events();
-        let n = events.len();
+        let n = prep.num_events();
         let segs = schedule.total_segments();
         let nv = topo.num_vertices();
         let nn = topo.num_nodes();
@@ -603,11 +602,8 @@ impl CycleEngine {
         // --- per-event wire framing, computed once and shared by the
         // message table and the lockstep estimator
         framings.clear();
-        framings.extend(
-            events
-                .iter()
-                .map(|e| frame_message(e.bytes(total_bytes, segs), cfg)),
-        );
+        let frame = |i| frame_message(prep.chunk(i).bytes(total_bytes, segs), cfg);
+        framings.extend((0..n).map(frame));
 
         // --- messages & injection streams
         s.msgs.clear();
@@ -616,8 +612,7 @@ impl CycleEngine {
         let mut head_flits = 0u64;
         let mut flit_hops = 0u64;
         let mut head_flit_hops = 0u64;
-        for (i, e) in events.iter().enumerate() {
-            let framing = &framings[i];
+        for (i, framing) in framings.iter().enumerate() {
             let hops = prep.hops(i);
             assert!(hops >= 1, "events always cross at least one link");
             let total = framing.total_flits();
@@ -625,7 +620,7 @@ impl CycleEngine {
             head_flits += framing.head_flits;
             flit_hops += total * hops as u64;
             head_flit_hops += framing.head_flits * hops as u64;
-            let vc_base = ((e.flow.0 % (vcs / 2).max(1)) * 2) as u8;
+            let vc_base = ((prep.flow(i).0 % (vcs / 2).max(1)) * 2) as u8;
             s.msgs.push(Msg {
                 total_flits: total,
                 ejected_flits: 0,
@@ -679,14 +674,14 @@ impl CycleEngine {
             let cycles = (interval / cfg.cycle_ns()).round() as u64;
             s.step_est.iter_mut().skip(1).for_each(|e| *e = cycles);
         } else if cfg.lockstep {
-            for (i, e) in events.iter().enumerate() {
-                let flits = framings[i].total_flits();
+            for (i, framing) in framings.iter().enumerate() {
+                let flits = framing.total_flits();
                 let eff = if flits <= u64::from(cfg.vc_buffer_flits) {
                     flits
                 } else {
                     flits - u64::from(cfg.vc_buffer_flits)
                 };
-                let st = e.step as usize;
+                let st = prep.step(i) as usize;
                 s.step_est[st] = s.step_est[st].max(eff);
             }
         }

@@ -134,8 +134,8 @@ impl CycleEngine {
         self.config().validate()?;
         let prep = PreparedSchedule::new(schedule, topo)?;
         let cfg = self.config();
-        let events = prep.events();
-        if events.is_empty() {
+        let n = prep.num_events();
+        if n == 0 {
             return Ok((
                 SimReport {
                     total_bytes,
@@ -162,13 +162,13 @@ impl CycleEngine {
         let vcs = cfg.num_vcs as usize;
 
         // --- messages & framing
-        let mut msgs: Vec<RefMsg> = Vec::with_capacity(events.len());
-        let mut inj_streams: Vec<Option<RefStream>> = Vec::with_capacity(events.len());
+        let mut msgs: Vec<RefMsg> = Vec::with_capacity(n);
+        let mut inj_streams: Vec<Option<RefStream>> = Vec::with_capacity(n);
         let mut flits_sent = 0u64;
         let mut head_flits = 0u64;
         let mut flit_hops = 0u64;
         let mut head_flit_hops = 0u64;
-        for (i, e) in events.iter().enumerate() {
+        for (i, e) in schedule.events().enumerate() {
             let bytes = e.bytes(total_bytes, segs);
             let framing = frame_message(bytes, cfg);
             let path = prep.path(i).to_vec();
@@ -212,11 +212,11 @@ impl CycleEngine {
 
         // --- NI schedule tables: per node, events ordered by (step, id)
         let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); topo.num_nodes()];
-        for (i, e) in events.iter().enumerate() {
+        for (i, e) in schedule.events().enumerate() {
             per_node[e.src.index()].push(i);
         }
         for list in &mut per_node {
-            list.sort_by_key(|&i| (events[i].step, i));
+            list.sort_by_key(|&i| (prep.step(i), i));
         }
         // lockstep step estimates (in cycles)
         let mut step_est = vec![0u64; schedule.num_steps() as usize + 2];
@@ -224,7 +224,7 @@ impl CycleEngine {
             let cycles = (interval / cfg.cycle_ns()).round() as u64;
             step_est.iter_mut().skip(1).for_each(|e| *e = cycles);
         } else if cfg.lockstep {
-            for e in events {
+            for e in schedule.events() {
                 let flits = frame_message(e.bytes(total_bytes, segs), cfg).total_flits();
                 let eff = if flits <= u64::from(cfg.vc_buffer_flits) {
                     flits
@@ -239,7 +239,7 @@ impl CycleEngine {
         let nics: Vec<RefNic> = per_node
             .iter()
             .map(|list| {
-                let unissued = list.iter().filter(|&&i| events[i].step == 1).count() as u32;
+                let unissued = list.iter().filter(|&&i| prep.step(i) == 1).count() as u32;
                 RefNic {
                     pending: list.iter().copied().collect(),
                     cur_step: 1,
@@ -266,7 +266,7 @@ impl CycleEngine {
             clock: 0,
         };
 
-        let mut remaining_deps: Vec<u32> = (0..events.len()).map(|i| prep.indegree(i)).collect();
+        let mut remaining_deps: Vec<u32> = (0..n).map(|i| prep.indegree(i)).collect();
         let mut delivered_count = 0usize;
         let mut inj_opt = inj_streams;
 
@@ -274,14 +274,14 @@ impl CycleEngine {
         let mut completion_cycle = 0u64;
         let mut max_buffer = 0usize;
 
-        while delivered_count < events.len() {
+        while delivered_count < n {
             if sim.clock > self.max_cycles {
                 return Err(AlgorithmError::MalformedSchedule {
                     detail: format!(
                         "cycle simulation exceeded {} cycles with {}/{} messages delivered",
                         self.max_cycles,
                         delivered_count,
-                        events.len()
+                        n
                     ),
                 });
             }
@@ -330,7 +330,7 @@ impl CycleEngine {
                         let unissued = sim.nics[node]
                             .pending
                             .iter()
-                            .filter(|&&i| events[i].step == next)
+                            .filter(|&&i| prep.step(i) == next)
                             .count() as u32;
                         let nic = &mut sim.nics[node];
                         nic.cur_step = next;
@@ -341,8 +341,7 @@ impl CycleEngine {
                     }
                 }
                 while let Some(&i) = sim.nics[node].pending.front() {
-                    let e = &events[i];
-                    if e.step > sim.nics[node].cur_step || remaining_deps[i] > 0 {
+                    if prep.step(i) > sim.nics[node].cur_step || remaining_deps[i] > 0 {
                         break;
                     }
                     sim.nics[node].pending.pop_front();
@@ -375,7 +374,7 @@ impl CycleEngine {
             completion_ns: completion_cycle as f64 * cfg.cycle_ns(),
             flits_sent,
             head_flits,
-            messages: events.len(),
+            messages: n,
             flit_hops,
             head_flit_hops,
             links_used: sim.tx_count.iter().filter(|&&c| c > 0).count(),

@@ -274,13 +274,11 @@ impl FlowEngine {
         let schedule = prep.schedule();
         let cfg = &self.cfg;
         let flit_ns = cfg.flit_time_ns();
-        let events = prep.events();
         let segs = schedule.total_segments();
 
         scratch.framings.clear();
-        scratch
-            .framings
-            .extend(events.iter().map(|e| frame_message(e.bytes(total_bytes, segs), cfg)));
+        let frame = |i| frame_message(prep.chunk(i).bytes(total_bytes, segs), cfg);
+        scratch.framings.extend((0..prep.num_events()).map(frame));
 
         let framings = &scratch.framings;
         let gates = &mut scratch.gates;
@@ -291,8 +289,8 @@ impl FlowEngine {
                 // open-loop injection: fixed interval per step
                 gates.iter_mut().skip(2).for_each(|e| *e = interval);
             } else {
-                for (i, _) in events.iter().enumerate() {
-                    let flits = framings[i].total_flits();
+                for (i, framing) in framings.iter().enumerate() {
+                    let flits = framing.total_flits();
                     // serialization at the event's bottleneck link: the
                     // effective rate folds multigraph capacities (§VII-B
                     // heterogeneous bandwidth) and per-link rates together,
@@ -353,7 +351,7 @@ impl FlowEngine {
         let topo = prep.topology();
         let cfg = &self.cfg;
         let flit_ns = cfg.flit_time_ns();
-        let events = prep.events();
+        let num_events = prep.num_events();
 
         if O::ENABLED {
             obs.on_run_start(&RunInfo {
@@ -382,15 +380,15 @@ impl FlowEngine {
         scratch.remaining_deps.clear();
         scratch
             .remaining_deps
-            .extend((0..events.len()).map(|i| prep.indegree(i)));
+            .extend((0..num_events).map(|i| prep.indegree(i)));
         let link_free = &mut scratch.link_free;
         let node_free = &mut scratch.node_free;
         let remaining_deps = &mut scratch.remaining_deps;
-        reset_to(&mut scratch.ready_at, events.len(), 0.0f64);
+        reset_to(&mut scratch.ready_at, num_events, 0.0f64);
         let ready_at = &mut scratch.ready_at;
         let heap = &mut scratch.heap;
         heap.clear();
-        for i in 0..events.len() {
+        for i in 0..num_events {
             if remaining_deps[i] == 0 {
                 let t = gates[prep.step(i) as usize];
                 ready_at[i] = t;
@@ -412,7 +410,7 @@ impl FlowEngine {
 
         // fault-run bookkeeping; F = false leaves these empty and unread
         let mut lost_events: Vec<u32> = Vec::new();
-        let mut delivered_mask: Vec<bool> = if F { vec![false; events.len()] } else { Vec::new() };
+        let mut delivered_mask: Vec<bool> = if F { vec![false; num_events] } else { Vec::new() };
         let mut last_progress = 0.0f64;
 
         while let Some(Key(t0, i)) = heap.pop() {
@@ -501,7 +499,7 @@ impl FlowEngine {
         }
 
         let fault_report = if F {
-            let total = events.len();
+            let total = num_events;
             let stalled = done != total;
             let mut first: Option<(u32, usize)> = None; // (step, event)
             if stalled {
@@ -539,12 +537,12 @@ impl FlowEngine {
             None
         };
 
-        if !F && done != events.len() {
+        if !F && done != num_events {
             return Err(AlgorithmError::MalformedSchedule {
                 detail: format!(
                     "simulation deadlocked: {} of {} events never became ready",
-                    events.len() - done,
-                    events.len()
+                    num_events - done,
+                    num_events
                 ),
             });
         }
@@ -558,7 +556,7 @@ impl FlowEngine {
                 completion_ns: completion,
                 flits_sent,
                 head_flits,
-                messages: events.len(),
+                messages: num_events,
                 flit_hops,
                 head_flit_hops,
                 links_used: used.iter().filter(|&&u| u).count(),
@@ -635,7 +633,7 @@ impl FlowEngine {
         );
         let cfg = &self.cfg;
         let flit_ns = cfg.flit_time_ns();
-        let events = prep.events();
+        let num_events = prep.num_events();
 
         if O::ENABLED {
             obs.on_run_start(&RunInfo {
@@ -651,7 +649,7 @@ impl FlowEngine {
         // Home shard of each event = shard of its source node.
         scratch.shard_home.clear();
         scratch.shard_home.extend(
-            (0..events.len())
+            (0..num_events)
                 .map(|i| plan.shard_of_node(mt_topology::NodeId::new(prep.src_index(i))) as u32),
         );
         if scratch.shard_heaps.len() != plan.num_shards() {
@@ -669,11 +667,11 @@ impl FlowEngine {
         scratch.remaining_deps.clear();
         scratch
             .remaining_deps
-            .extend((0..events.len()).map(|i| prep.indegree(i)));
+            .extend((0..num_events).map(|i| prep.indegree(i)));
         let link_free = &mut scratch.link_free;
         let node_free = &mut scratch.node_free;
         let remaining_deps = &mut scratch.remaining_deps;
-        reset_to(&mut scratch.ready_at, events.len(), 0.0f64);
+        reset_to(&mut scratch.ready_at, num_events, 0.0f64);
         let ready_at = &mut scratch.ready_at;
         let mut ready = ShardedReady {
             heaps: &mut scratch.shard_heaps,
@@ -681,7 +679,7 @@ impl FlowEngine {
             cur: 0,
             bound: 0, // below any real key: the first pop rescans
         };
-        for i in 0..events.len() {
+        for i in 0..num_events {
             if remaining_deps[i] == 0 {
                 let t = gates[prep.step(i) as usize];
                 ready_at[i] = t;
@@ -756,12 +754,12 @@ impl FlowEngine {
             }
         }
 
-        if done != events.len() {
+        if done != num_events {
             return Err(AlgorithmError::MalformedSchedule {
                 detail: format!(
                     "simulation deadlocked: {} of {} events never became ready",
-                    events.len() - done,
-                    events.len()
+                    num_events - done,
+                    num_events
                 ),
             });
         }
@@ -774,7 +772,7 @@ impl FlowEngine {
             completion_ns: completion,
             flits_sent,
             head_flits,
-            messages: events.len(),
+            messages: num_events,
             flit_hops,
             head_flit_hops,
             links_used: used.iter().filter(|&&u| u).count(),
@@ -1075,7 +1073,7 @@ impl FlowEngine {
         let topo = prep.topology();
         let cfg = &self.cfg;
         let flit_ns = cfg.flit_time_ns();
-        let events = prep.events();
+        let num_events = prep.num_events();
         let hop_ns = cfg.link_latency_ns + f64::from(cfg.router_pipeline_cycles) * cfg.cycle_ns();
 
         if O::ENABLED {
@@ -1093,10 +1091,10 @@ impl FlowEngine {
         scratch.remaining_deps.clear();
         scratch
             .remaining_deps
-            .extend((0..events.len()).map(|i| prep.indegree(i)));
-        reset_to(&mut scratch.ready_at, events.len(), 0.0f64);
+            .extend((0..num_events).map(|i| prep.indegree(i)));
+        reset_to(&mut scratch.ready_at, num_events, 0.0f64);
         reset_to(&mut scratch.used, topo.num_links(), false);
-        scratch.fair.reset(events.len(), topo.num_links());
+        scratch.fair.reset(num_events, topo.num_links());
 
         let framings = &scratch.framings;
         let gates = &scratch.gates;
@@ -1106,7 +1104,7 @@ impl FlowEngine {
         let used = &mut scratch.used;
         let f = &mut scratch.fair;
 
-        for i in 0..events.len() {
+        for i in 0..num_events {
             if remaining_deps[i] == 0 {
                 f.arrive.push(Key(gates[prep.step(i) as usize], i));
             }
@@ -1254,12 +1252,12 @@ impl FlowEngine {
             }
         }
 
-        if done != events.len() {
+        if done != num_events {
             return Err(AlgorithmError::MalformedSchedule {
                 detail: format!(
                     "simulation deadlocked: {} of {} events never became ready",
-                    events.len() - done,
-                    events.len()
+                    num_events - done,
+                    num_events
                 ),
             });
         }
@@ -1271,7 +1269,7 @@ impl FlowEngine {
             completion_ns: completion,
             flits_sent,
             head_flits,
-            messages: events.len(),
+            messages: num_events,
             flit_hops,
             head_flit_hops,
             links_used: used.iter().filter(|&&u| u).count(),
@@ -1474,7 +1472,7 @@ mod fair_tests {
             ChunkRange::single(0),
             1,
             vec![],
-            Some(vec![l]),
+            Some(&[l]),
         );
         let prep = PreparedSchedule::new(&s, &topo).unwrap();
         let eng = FlowEngine::new(NetworkConfig::paper_default());
@@ -1521,7 +1519,7 @@ mod fair_tests {
                 ChunkRange::single(seg),
                 1,
                 vec![],
-                Some(vec![l]),
+                Some(&[l]),
             );
         }
         let prep = PreparedSchedule::new(&s, &topo).unwrap();

@@ -329,7 +329,6 @@ mod tests {
         for node in 0..4 {
             let expected_reduce = schedule
                 .events()
-                .iter()
                 .filter(|e| e.src.index() == node && e.op == CollectiveOp::Reduce)
                 .count();
             let issued_reduce = nics[node]

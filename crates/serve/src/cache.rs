@@ -547,10 +547,9 @@ impl ScheduleCache {
                 return Err("failed links disconnect the network".into());
             }
             let schedule = algorithm.build(&degraded).map_err(|e| e.to_string())?;
-            let crosses_dead = schedule.events().iter().any(|e| {
-                e.path
-                    .as_deref()
-                    .unwrap_or(&[])
+            let crosses_dead = schedule.events().any(|e| {
+                e.path()
+                    .unwrap_or_default()
                     .iter()
                     .any(|&l| degraded.is_link_disabled(l))
             });

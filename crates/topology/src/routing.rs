@@ -44,28 +44,51 @@ impl Topology {
     ///
     /// Returns [`TopologyError::Unreachable`] if no path exists.
     pub fn try_route(&self, src: Vertex, dst: Vertex) -> Result<Vec<LinkId>, TopologyError> {
+        let mut path = Vec::new();
+        self.route_into(src, dst, &mut path)?;
+        Ok(path)
+    }
+
+    /// Appends the route from `src` to `dst` to `out`, so callers that
+    /// resolve many routes reuse one buffer instead of allocating a
+    /// path each. The one routing implementation behind
+    /// [`Topology::route`] and [`Topology::try_route`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopologyError::Unreachable`] if no path exists; `out` is
+    /// then left as it was.
+    pub fn route_into(
+        &self,
+        src: Vertex,
+        dst: Vertex,
+        out: &mut Vec<LinkId>,
+    ) -> Result<(), TopologyError> {
         if src == dst {
-            return Ok(Vec::new());
+            return Ok(());
         }
+        let start = out.len();
         // Degraded views invalidate the closed-form routes below (they
         // assume every grid/tree link exists and would panic or return a
         // path through a dead link); BFS follows the adjacency lists, which
         // already exclude disabled links.
         if self.has_disabled_links() {
-            return self.route_bfs(src, dst);
+            return self.route_bfs(src, dst, out);
         }
-        match (self.kind(), src, dst) {
+        let routed = match (self.kind(), src, dst) {
             (TopologyKind::Torus { rows, cols }, Vertex::Node(s), Vertex::Node(d)) => {
-                Ok(self.route_grid(s, d, rows, cols, true))
+                self.route_grid(s, d, rows, cols, true, out);
+                Ok(())
             }
             (TopologyKind::Mesh { rows, cols }, Vertex::Node(s), Vertex::Node(d)) => {
-                Ok(self.route_grid(s, d, rows, cols, false))
+                self.route_grid(s, d, rows, cols, false, out);
+                Ok(())
             }
             (TopologyKind::FatTree { leaves, .. }, Vertex::Node(s), Vertex::Node(d)) => {
-                self.route_up_down(s, d, leaves)
+                self.route_up_down(s, d, leaves, out)
             }
             (TopologyKind::BiGraph { lower, .. }, Vertex::Node(s), Vertex::Node(d)) => {
-                self.route_up_down(s, d, lower)
+                self.route_up_down(s, d, lower, out)
             }
             (
                 TopologyKind::Torus3D {
@@ -75,12 +98,20 @@ impl Topology {
                 },
                 Vertex::Node(s),
                 Vertex::Node(d),
-            ) => Ok(self.route_grid3(s, d, x_dim, y_dim, z_dim)),
-            (TopologyKind::Hypercube { dim }, Vertex::Node(s), Vertex::Node(d)) => {
-                Ok(self.route_ecube(s, d, dim))
+            ) => {
+                self.route_grid3(s, d, x_dim, y_dim, z_dim, out);
+                Ok(())
             }
-            _ => self.route_bfs(src, dst),
+            (TopologyKind::Hypercube { dim }, Vertex::Node(s), Vertex::Node(d)) => {
+                self.route_ecube(s, d, dim, out);
+                Ok(())
+            }
+            _ => self.route_bfs(src, dst, out),
+        };
+        if routed.is_err() {
+            out.truncate(start);
         }
+        routed
     }
 
     /// Dimension-order routing: X first, then Y (each dimension takes the
@@ -92,10 +123,10 @@ impl Topology {
         rows: usize,
         cols: usize,
         wrap: bool,
-    ) -> Vec<LinkId> {
+        path: &mut Vec<LinkId>,
+    ) {
         let (sr, sc) = (src.index() / cols, src.index() % cols);
         let (dr, dc) = (dst.index() / cols, dst.index() % cols);
-        let mut path = Vec::new();
         let mut r = sr;
         let mut c = sc;
         let hop_to = |topo: &Topology, from: (usize, usize), to: (usize, usize)| {
@@ -115,7 +146,6 @@ impl Topology {
             path.push(hop_to(self, (r, c), (next, c)));
             r = next;
         }
-        path
     }
 
     /// One step from `cur` toward `dst` along a dimension of extent `n`.
@@ -141,7 +171,8 @@ impl Topology {
         x_dim: usize,
         y_dim: usize,
         z_dim: usize,
-    ) -> Vec<LinkId> {
+        path: &mut Vec<LinkId>,
+    ) {
         let coord = |n: NodeId| {
             (
                 n.index() % x_dim,
@@ -152,7 +183,6 @@ impl Topology {
         let id = |x: usize, y: usize, z: usize| NodeId::new((z * y_dim + y) * x_dim + x);
         let (mut x, mut y, mut z) = coord(src);
         let (dx, dy, dz) = coord(dst);
-        let mut path = Vec::new();
         let hop = |topo: &Topology, from: NodeId, to: NodeId| {
             topo.find_link(from.into(), to.into())
                 .expect("3D torus neighbors must be linked")
@@ -172,14 +202,12 @@ impl Topology {
             path.push(hop(self, id(x, y, z), id(x, y, next)));
             z = next;
         }
-        path
     }
 
     /// E-cube routing on a hypercube: correct differing bits from the
     /// lowest upward.
-    fn route_ecube(&self, src: NodeId, dst: NodeId, dim: u32) -> Vec<LinkId> {
+    fn route_ecube(&self, src: NodeId, dst: NodeId, dim: u32, path: &mut Vec<LinkId>) {
         let mut cur = src.index();
-        let mut path = Vec::new();
         for bit in 0..dim {
             if (cur ^ dst.index()) & (1 << bit) != 0 {
                 let next = cur ^ (1 << bit);
@@ -190,7 +218,6 @@ impl Topology {
                 cur = next;
             }
         }
-        path
     }
 
     /// Up-down routing for two-level indirect networks. `edge_switches` is
@@ -201,36 +228,38 @@ impl Topology {
         src: NodeId,
         dst: NodeId,
         edge_switches: usize,
-    ) -> Result<Vec<LinkId>, TopologyError> {
+        path: &mut Vec<LinkId>,
+    ) -> Result<(), TopologyError> {
         let unreachable = || TopologyError::Unreachable {
             src: src.into(),
             dst: dst.into(),
         };
         let s_edge = self.attached_switch(src).ok_or_else(unreachable)?;
         let d_edge = self.attached_switch(dst).ok_or_else(unreachable)?;
-        let mut path = Vec::new();
         path.push(
             self.find_link(src.into(), s_edge.into())
                 .ok_or_else(unreachable)?,
         );
         if s_edge != d_edge {
             // Deterministic up-switch choice: the source's index within its
-            // edge switch. With #up-switches == #nodes-per-edge-switch this
-            // gives every node a private uplink.
+            // edge switch (its rank among the switch's node neighbors).
+            // With #up-switches == #nodes-per-edge-switch this gives every
+            // node a private uplink.
             let idx_in_edge = self
-                .switch_nodes(s_edge)
-                .iter()
-                .position(|&n| n == src)
-                .expect("node must be listed under its switch");
-            let ups: Vec<SwitchId> = self
                 .neighbors(s_edge.into())
-                .filter_map(|(v, _)| v.as_switch())
-                .filter(|s| s.index() >= edge_switches)
-                .collect();
-            if ups.is_empty() {
+                .filter_map(|(v, _)| v.as_node())
+                .filter(|&n| n < src)
+                .count();
+            let ups = || {
+                self.neighbors(s_edge.into())
+                    .filter_map(|(v, _)| v.as_switch())
+                    .filter(|s| s.index() >= edge_switches)
+            };
+            let num_ups = ups().count();
+            if num_ups == 0 {
                 return Err(unreachable());
             }
-            let up = ups[idx_in_edge % ups.len()];
+            let up: SwitchId = ups().nth(idx_in_edge % num_ups).expect("index below count");
             path.push(
                 self.find_link(s_edge.into(), up.into())
                     .ok_or_else(unreachable)?,
@@ -244,11 +273,16 @@ impl Topology {
             self.find_link(d_edge.into(), dst.into())
                 .ok_or_else(unreachable)?,
         );
-        Ok(path)
+        Ok(())
     }
 
     /// BFS shortest path following deterministic neighbor order.
-    fn route_bfs(&self, src: Vertex, dst: Vertex) -> Result<Vec<LinkId>, TopologyError> {
+    fn route_bfs(
+        &self,
+        src: Vertex,
+        dst: Vertex,
+        path: &mut Vec<LinkId>,
+    ) -> Result<(), TopologyError> {
         let nv = self.num_vertices();
         let mut prev: Vec<Option<LinkId>> = vec![None; nv];
         let mut seen = vec![false; nv];
@@ -271,15 +305,15 @@ impl Topology {
         if !seen[self.vertex_index(dst)] {
             return Err(TopologyError::Unreachable { src, dst });
         }
-        let mut path = Vec::new();
+        let start = path.len();
         let mut cur = dst;
         while cur != src {
             let l = prev[self.vertex_index(cur)].expect("bfs chain must be complete");
             path.push(l);
             cur = self.link(l).src;
         }
-        path.reverse();
-        Ok(path)
+        path[start..].reverse();
+        Ok(())
     }
 }
 
@@ -437,6 +471,35 @@ mod tests {
             t.try_route(0.into(), 1.into()),
             Err(TopologyError::Unreachable { .. })
         ));
+    }
+
+    #[test]
+    fn route_into_appends_what_route_returns() {
+        let mut b = TopologyBuilder::new();
+        b.add_nodes(2);
+        let disconnected = b.build().unwrap();
+        for t in [
+            Topology::torus(4, 4),
+            Topology::mesh(3, 5),
+            Topology::fat_tree_64(),
+            Topology::bigraph_32(),
+            Topology::hypercube(4),
+        ] {
+            let mut out = vec![LinkId::new(99)];
+            for a in 0..t.num_nodes().min(12) {
+                for z in 0..t.num_nodes().min(12) {
+                    let before = out.len();
+                    t.route_into(a.into(), z.into(), &mut out).unwrap();
+                    assert_eq!(out[before..], t.route(a.into(), z.into())[..]);
+                }
+            }
+            assert_eq!(out[0], LinkId::new(99));
+        }
+        let mut out = vec![LinkId::new(7)];
+        assert!(disconnected
+            .route_into(0.into(), 1.into(), &mut out)
+            .is_err());
+        assert_eq!(out, [LinkId::new(7)], "a failed route leaves the buffer as it was");
     }
 
     #[test]

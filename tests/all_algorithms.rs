@@ -108,7 +108,7 @@ fn multitree_events_are_all_single_hop_on_direct_networks() {
     for topo in [Topology::torus(8, 8), Topology::mesh(8, 8)] {
         let schedule = MultiTree::default().build(&topo).unwrap();
         for e in schedule.events() {
-            let path = e.path.as_ref().expect("multitree allocates paths");
+            let path = e.path().expect("multitree allocates paths");
             assert_eq!(path.len(), 1, "direct-network event {e} must be one hop");
         }
     }

@@ -20,8 +20,8 @@ fn mutate(
         schedule.num_nodes(),
         schedule.total_segments(),
     );
-    for (i, e) in schedule.events().iter().enumerate() {
-        let (dst, chunk) = if i == k { f(e) } else { (e.dst, e.chunk) };
+    for (i, e) in schedule.events().enumerate() {
+        let (dst, chunk) = if i == k { f(&e) } else { (e.dst, e.chunk) };
         out.push_event(
             e.src,
             dst,
@@ -29,8 +29,8 @@ fn mutate(
             e.op,
             chunk,
             e.step,
-            e.deps.clone(),
-            e.path.clone(),
+            e.deps().iter().copied(),
+            e.path(),
         );
     }
     out
@@ -105,7 +105,7 @@ fn stripping_dependencies_is_caught() {
             e.chunk,
             e.step,
             vec![],
-            e.path.clone(),
+            e.path(),
         );
     }
     assert!(verify_schedule(&out).is_err());

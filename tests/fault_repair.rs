@@ -35,7 +35,7 @@ fn torus_with_one_failed_cable_completes_on_both_engines() {
     let forest = mt.construct_forest(&topo).unwrap();
     let healthy = mt.build(&topo).unwrap();
     // fail a cable the healthy schedule actually uses
-    let used = healthy.events()[0].path.as_ref().unwrap()[0];
+    let used = healthy.events().next().unwrap().path().unwrap()[0];
     let dead = cable_of(&topo, used);
 
     let repaired = repair_multitree(&mt, &topo, &forest, &dead, &[]).unwrap();
@@ -46,7 +46,7 @@ fn torus_with_one_failed_cable_completes_on_both_engines() {
         "a single cable must not invalidate the whole forest"
     );
     for e in repaired.schedule.events() {
-        for l in e.path.as_deref().unwrap_or(&[]) {
+        for l in e.path().unwrap_or_default() {
             assert!(
                 !repaired.topology.is_link_disabled(*l),
                 "repaired schedule routes over dead link {l:?}"
@@ -116,7 +116,7 @@ proptest! {
                 prop_assert!(repaired.report.verified);
                 // no event of the repaired schedule crosses a dead link
                 for e in repaired.schedule.events() {
-                    for l in e.path.as_deref().unwrap_or(&[]) {
+                    for l in e.path().unwrap_or_default() {
                         prop_assert!(
                             !repaired.topology.is_link_disabled(*l),
                             "repaired schedule routes over dead link {:?}", l

@@ -98,7 +98,7 @@ fn node_failure_handled_by_reallocation() {
     let s = MultiTree::default().build_among(&topo, &survivors).unwrap();
     verify_allreduce_among(&s, &survivors).unwrap();
     // node 5 relays but never owns data
-    assert!(s.events().iter().all(|e| e.src.index() != 5 && e.dst.index() != 5));
+    assert!(s.events().all(|e| e.src.index() != 5 && e.dst.index() != 5));
 }
 
 #[test]

@@ -180,7 +180,7 @@ fn bandwidth_aware_builder_beats_uniform_on_oversubscribed_fattree() {
     let slow_crossings = |s: &multitree::CommSchedule| {
         let mut n = 0usize;
         for e in s.events() {
-            for l in e.path.as_deref().unwrap_or(&[]) {
+            for l in e.path().unwrap_or_default() {
                 if !topo.link(*l).is_full_rate() {
                     n += 1;
                 }

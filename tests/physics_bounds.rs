@@ -19,7 +19,7 @@ fn lower_bound_ns(
     bytes: u64,
     cfg: &NetworkConfig,
 ) -> f64 {
-    if schedule.events().is_empty() {
+    if schedule.num_events() == 0 {
         return 0.0;
     }
     let total_capacity: f64 = topo

@@ -227,6 +227,31 @@ fn oversized_request_line_is_capped_in_the_read_path() {
 }
 
 #[test]
+fn deeply_nested_line_errors_and_connection_survives() {
+    use std::io::{BufRead, Write};
+    let d = daemon(1);
+    let mut raw = std::net::TcpStream::connect(d.addr()).unwrap();
+    // 100,000 open brackets: far under the line cap, far past any sane
+    // nesting depth; the parser must refuse it instead of recursing once
+    // per level
+    let mut line = vec![b'['; 100_000];
+    line.push(b'\n');
+    raw.write_all(&line).unwrap();
+    writeln!(raw, "\"Ping\"").unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let mut read = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        serde_json::from_str::<Response>(line.trim()).unwrap()
+    };
+    let Response::Error(e) = read() else {
+        panic!("expected an error for the nested line");
+    };
+    assert!(e.detail.contains("nesting"), "{}", e.detail);
+    assert!(matches!(read(), Response::Pong));
+}
+
+#[test]
 fn malformed_lines_error_in_order_and_connection_survives() {
     let d = daemon(1);
     let mut client = Client::connect(d.addr()).unwrap();

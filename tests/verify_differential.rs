@@ -109,7 +109,7 @@ mod oracle {
                     detail: format!("{e} involves a non-participant endpoint"),
                 });
             }
-            let payload = event_payload(schedule, e, &carried, n)?;
+            let payload = event_payload(schedule, &e, &carried, n)?;
             if e.op == CollectiveOp::Gather {
                 gathers += 1;
             } else {
@@ -180,7 +180,7 @@ mod oracle {
             let payloads: Vec<Vec<f64>> = step_events
                 .iter()
                 .map(|e| {
-                    for d in &e.deps {
+                    for d in e.deps() {
                         assert!(
                             schedule.event(*d).step < e.step,
                             "numeric execution needs strictly earlier-step deps ({} depends on {})",
@@ -222,7 +222,7 @@ mod oracle {
         // Which segments already receive data via an incoming Gather dep.
         let mut has_gather_dep = vec![false; e.chunk.len() as usize];
 
-        for d in &e.deps {
+        for d in e.deps() {
             let dep = schedule.event(*d);
             if dep.dst != e.src {
                 // A dependency that is not a delivery to our sender only
@@ -277,7 +277,7 @@ mod oracle {
                 });
             }
             let mut payload: Vec<BitSet> = e.chunk.segments().map(|_| BitSet::new(n)).collect();
-            for d in &e.deps {
+            for d in e.deps() {
                 let dep = schedule.event(*d);
                 if dep.dst != e.src {
                     continue;
@@ -512,7 +512,7 @@ const MUTATIONS: [Mutation; 5] = [
 /// Rebuilds `s` with `m` applied at event `at` (or the nearest event it
 /// applies to).
 fn mutate(s: &CommSchedule, m: Mutation, at: usize) -> CommSchedule {
-    let events = s.events();
+    let events: Vec<_> = s.events().collect();
     let mut out = CommSchedule::new(s.algorithm(), s.num_nodes(), s.total_segments());
     if events.is_empty() {
         return out;
@@ -522,7 +522,7 @@ fn mutate(s: &CommSchedule, m: Mutation, at: usize) -> CommSchedule {
     let target = match m {
         Mutation::DropDep => (0..events.len())
             .map(|k| (at + k) % events.len())
-            .find(|&k| !events[k].deps.is_empty())
+            .find(|&k| !events[k].deps().is_empty())
             .unwrap_or(at),
         Mutation::DuplicateReduce => (0..events.len())
             .map(|k| (at + k) % events.len())
@@ -538,7 +538,7 @@ fn mutate(s: &CommSchedule, m: Mutation, at: usize) -> CommSchedule {
     for (k, e) in events.iter().enumerate() {
         let mut op = e.op;
         let mut chunk = e.chunk;
-        let mut deps: Vec<EventId> = e.deps.iter().filter_map(|&d| renumber(d)).collect();
+        let mut deps: Vec<EventId> = e.deps().iter().filter_map(|&d| renumber(d)).collect();
         if k == target {
             match m {
                 Mutation::DropEvent => continue,
@@ -571,7 +571,7 @@ fn mutate(s: &CommSchedule, m: Mutation, at: usize) -> CommSchedule {
             chunk,
             e.step,
             deps,
-            e.path.clone(),
+            e.path(),
         );
     }
     if let Mutation::DuplicateReduce = m {
@@ -583,8 +583,8 @@ fn mutate(s: &CommSchedule, m: Mutation, at: usize) -> CommSchedule {
             e.op,
             e.chunk,
             e.step,
-            e.deps.clone(),
-            e.path.clone(),
+            e.deps().iter().copied(),
+            e.path(),
         );
     }
     out
