@@ -7,6 +7,7 @@ use multitree::algorithms::{
     AllReduce, DbTree, Hdrm, HierarchicalMultiTree, MultiTree, Ring, Ring2D,
 };
 use mt_topology::Topology;
+use multitree::verify::{certify_tree, verify_allreduce_among};
 
 fn multitree_construction(c: &mut Criterion) {
     let mut g = c.benchmark_group("multitree_construction");
@@ -40,27 +41,35 @@ fn baseline_construction(c: &mut Criterion) {
     g.finish();
 }
 
+/// `verify_*` prices the symbolic tier (`verify_allreduce_among` over
+/// every node: set dataflow plus numeric pass), which is what
+/// `verify_schedule` falls back to; `certify_*` prices the tree
+/// certificate `verify_schedule` tries first — a `Certified` on the tree
+/// keys and a refusal on the 2D-RING ones.
 fn verification(c: &mut Criterion) {
     let topo = Topology::torus(8, 8);
-    let schedule = MultiTree::default().build(&topo).unwrap();
-    c.bench_function("verify_multitree_64", |b| {
-        b.iter(|| multitree::verify::verify_schedule(&schedule).unwrap())
-    });
     // the verifies a served compile runs on mtbench's largest keys
     let t16 = Topology::torus(16, 16);
     let t32 = Topology::torus(32, 32);
-    for (label, schedule) in [
-        ("verify_2dring_64", Ring2D.build(&topo).unwrap()),
-        ("verify_2dring_256", Ring2D.build(&t16).unwrap()),
-        ("verify_ring_256", Ring.build(&t16).unwrap()),
-        ("verify_multitree_256", MultiTree::default().build(&t16).unwrap()),
+    for (key, schedule) in [
+        ("multitree_64", MultiTree::default().build(&topo).unwrap()),
+        ("2dring_64", Ring2D.build(&topo).unwrap()),
+        ("2dring_256", Ring2D.build(&t16).unwrap()),
+        ("ring_256", Ring.build(&t16).unwrap()),
+        ("multitree_256", MultiTree::default().build(&t16).unwrap()),
         (
-            "verify_multitree_hier_1024",
+            "multitree_hier_1024",
             HierarchicalMultiTree::default().build(&t32).unwrap(),
         ),
     ] {
-        c.bench_function(label, |b| {
-            b.iter(|| multitree::verify::verify_schedule(&schedule).unwrap())
+        let all: Vec<mt_topology::NodeId> = (0..schedule.num_nodes())
+            .map(mt_topology::NodeId::new)
+            .collect();
+        c.bench_function(&format!("verify_{key}"), |b| {
+            b.iter(|| verify_allreduce_among(&schedule, &all).unwrap())
+        });
+        c.bench_function(&format!("certify_{key}"), |b| {
+            b.iter(|| certify_tree(&schedule))
         });
     }
 }

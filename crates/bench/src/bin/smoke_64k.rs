@@ -1,27 +1,27 @@
 //! 64k-node construction smoke: hierarchically constructs the MultiTree
 //! all-reduce on a 256×256 torus (65536 nodes, 256 auto pods), prepares
-//! it, and verifies it with the memory-scalable numeric verifier —
-//! construction-only, no engine run, failing on a wall-clock budget.
+//! it, certifies it with the tree certificate and verifies it with the
+//! memory-scalable numeric verifier — construction-only, no engine run,
+//! failing on a wall-clock budget.
 //!
 //! This is the CI tripwire for the pod-quotient inter-pod walker: at
 //! this scale the PR-6 full-graph inter-pod construction (O(n) BFS
 //! floods per edge) is minutes of wall clock, and the full symbolic
 //! set-dataflow verifier would need ~128 GiB of origin bitsets — the
-//! quotient walker builds in tens of seconds and
+//! quotient walker builds in tens of seconds, `certify_tree` proves the
+//! dependency-strict all-reduce property in O(n·segments) memory, and
 //! `verify_allreduce_numeric` checks exact-sum delivery for every node
-//! and segment in O(n·segments) memory. The dependency-strict set
-//! property is pinned on the same builder at smaller scales by the
-//! in-crate tests and `tests/hierarchical_differential.rs`.
+//! and segment, also in O(n·segments) memory.
 //!
 //! ```text
 //! cargo run --release -p mt-bench --bin smoke_64k [-- --side 256] [--budget-s 300] [--build-threads 1]
 //! ```
 //!
-//! Exits non-zero (with a diagnostic) when the budget is exceeded or
-//! verification fails.
+//! Exits non-zero (with a diagnostic) when the budget is exceeded, the
+//! schedule does not certify, or verification fails.
 
 use multitree::algorithms::{AllReduce, HierarchicalMultiTree};
-use multitree::verify::verify_allreduce_numeric;
+use multitree::verify::{certificate_bytes, certify_tree, verify_allreduce_numeric, Certificate};
 use multitree::PreparedSchedule;
 use mt_bench::args::Args;
 use mt_topology::Topology;
@@ -49,6 +49,10 @@ fn main() {
     drop(prep);
 
     let t0 = Instant::now();
+    let certificate = certify_tree(&schedule);
+    let certify = t0.elapsed();
+
+    let t0 = Instant::now();
     let report = verify_allreduce_numeric(&schedule).expect("64k schedule verifies");
     let verify = t0.elapsed();
     let total = wall.elapsed();
@@ -62,6 +66,10 @@ fn main() {
     println!("  hierarchical construct: {construct:?} ({build_threads} build threads)");
     println!("  prepare:                {prepare:?}");
     println!(
+        "  tree certificate:       {certify:?} ({:.1} MiB peak, {certificate:?})",
+        certificate_bytes(&schedule) as f64 / (1 << 20) as f64
+    );
+    println!(
         "  numeric verify:         {verify:?} ({} reduces, {} gathers)",
         report.reduces, report.gathers
     );
@@ -72,6 +80,10 @@ fn main() {
         schedule.events().len(),
         "verifier event census mismatch"
     );
+    if certificate != Certificate::Certified {
+        eprintln!("FAIL: the 64k schedule is not a certified tree all-reduce");
+        std::process::exit(1);
+    }
     if total.as_secs_f64() > budget_s {
         eprintln!(
             "FAIL: 64k smoke took {:.1}s, budget {budget_s}s",
@@ -79,5 +91,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("OK: within budget, verifier-passing 65536-node schedule");
+    println!("OK: within budget, certified and verifier-passing 65536-node schedule");
 }

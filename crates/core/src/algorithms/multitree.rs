@@ -1054,7 +1054,8 @@ pub(crate) fn reverse_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::verify_schedule;
+    use crate::verify::{certify_tree, verify_allreduce_among, verify_schedule, Certificate};
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     #[test]
@@ -1252,5 +1253,61 @@ mod tests {
         let topo = Topology::mesh(1, 1);
         let s = MultiTree::default().build(&topo).unwrap();
         assert_eq!(s.num_events(), 0);
+    }
+
+    /// One random spanning tree per root over `n` nodes: each node joins
+    /// under an earlier member, one to three steps after it.
+    fn random_forest(n: usize, seed: u64) -> Forest {
+        let mut state = seed;
+        let mut below = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let mut total_steps = 0;
+        let mut trees = Vec::new();
+        for root in 0..n {
+            let mut order: Vec<usize> = (0..n).filter(|&v| v != root).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, below(i + 1));
+            }
+            let mut members = vec![(root, 0u32)];
+            let mut edges = Vec::new();
+            for child in order {
+                let (parent, joined) = members[below(members.len())];
+                let step = joined + 1 + below(3) as u32;
+                total_steps = total_steps.max(step);
+                members.push((child, step));
+                edges.push(ForestEdge {
+                    parent: NodeId::new(parent),
+                    child: NodeId::new(child),
+                    step,
+                    path: Vec::new(),
+                });
+            }
+            trees.push(Tree {
+                root: NodeId::new(root),
+                edges,
+            });
+        }
+        Forest { trees, total_steps }
+    }
+
+    // Every forest the shared lowering emits certifies, and the symbolic
+    // tier agrees that it is an all-reduce.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn lowered_random_forests_certify(n in 2usize..12, seed in 0u64..1_000_000) {
+            let topo = Topology::random_connected(n, n, seed);
+            let forest = random_forest(n, seed);
+            let mut s = CommSchedule::new("random forest", n, n as u32);
+            lower_forest(&topo, &forest, &mut s, &|root| root.index() as u32).unwrap();
+            prop_assert_eq!(certify_tree(&s), Certificate::Certified);
+            let all: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+            prop_assert!(verify_allreduce_among(&s, &all).is_ok());
+        }
     }
 }

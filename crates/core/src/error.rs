@@ -46,6 +46,12 @@ pub enum AlgorithmError {
         /// What is wrong.
         detail: String,
     },
+    /// Checking a schedule needs more memory than the address space holds
+    /// or the allocator grants; the schedule itself may be correct.
+    ResourceExhausted {
+        /// Which buffer, and how large.
+        detail: String,
+    },
 }
 
 impl fmt::Display for AlgorithmError {
@@ -68,6 +74,9 @@ impl fmt::Display for AlgorithmError {
             }
             AlgorithmError::InvalidConfig { detail } => {
                 write!(f, "invalid network configuration: {detail}")
+            }
+            AlgorithmError::ResourceExhausted { detail } => {
+                write!(f, "resource exhausted: {detail}")
             }
         }
     }

@@ -12,13 +12,19 @@
 //!
 //! One difference is allowed: a dependency on the same time step is a
 //! typed `MalformedSchedule` where the oracle's numeric pass panicked.
+//!
+//! The tests at the end pin the tree certificate's one-sided rule:
+//! whenever `certify_tree` says `Certified`, the symbolic verifier over
+//! all nodes accepts the schedule — on every builder and family, on the
+//! mutation corpus and on randomly perturbed tree schedules — and the
+//! tree-shaped builders do certify.
 
 use mt_topology::{NodeId, Topology};
 use multitree::algorithms::{
     AllReduce, Blink, DbTree, HalvingDoubling, Hdrm, HierarchicalMultiTree, MultiTree, Ring, Ring2D,
 };
 use multitree::collective::verify_reduce_scatter;
-use multitree::verify::verify_allreduce_among;
+use multitree::verify::{certify_tree, verify_allreduce_among, verify_schedule, Certificate};
 use multitree::{AlgorithmError, ChunkRange, CollectiveOp, CommSchedule, EventId, FlowId};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -622,6 +628,233 @@ fn every_mutation_is_caught() {
                 "{m:?} at {at} slipped through"
             );
             assert!(compare(&bad, &all) != Agreement::SameStepDependency);
+        }
+    }
+}
+
+/// The certificate's one-sided rule on one schedule: `Certified` implies
+/// that the symbolic verifier over all nodes accepts, and
+/// `verify_schedule` always gives the symbolic verdict, byte for byte.
+fn assert_one_sided(name: &str, s: &CommSchedule) -> Certificate {
+    let all = everyone(s);
+    let certificate = certify_tree(s);
+    let symbolic = verify_allreduce_among(s, &all);
+    if certificate == Certificate::Certified {
+        assert!(symbolic.is_ok(), "{name}: certified, but {symbolic:?}");
+    }
+    assert_eq!(verify_schedule(s), symbolic, "{name}");
+    certificate
+}
+
+#[test]
+fn certified_builders_verify_symbolically() {
+    for (name, s, _) in &shipped_schedules() {
+        assert_one_sided(name, s);
+    }
+}
+
+/// Non-vacuity: every tree-shaped builder certifies wherever it builds,
+/// and 2D-RING, whose row and column phases each reduce every segment,
+/// never does.
+#[test]
+fn tree_builders_certify_and_2d_ring_does_not() {
+    let mut ring2d_builds = 0;
+    for (tname, topo) in topologies() {
+        for b in builders() {
+            let Ok(s) = b.build(&topo) else { continue };
+            let want = if b.name() == Ring2D.name() {
+                ring2d_builds += 1;
+                Certificate::NotTreeShaped
+            } else {
+                Certificate::Certified
+            };
+            assert_eq!(certify_tree(&s), want, "{} on {tname}", b.name());
+        }
+    }
+    assert!(ring2d_builds > 0, "no family built 2D-RING");
+}
+
+/// The whole mutation corpus: every mutation at spread positions of every
+/// shipped schedule.
+#[test]
+fn certificate_is_one_sided_on_the_mutation_corpus() {
+    let mut refused = 0;
+    for (name, s, _) in &shipped_schedules() {
+        for m in MUTATIONS {
+            for k in 0..6 {
+                let bad = mutate(s, m, k * s.num_events() / 6 + k);
+                if assert_one_sided(&format!("{name} {m:?} {k}"), &bad) != Certificate::Certified {
+                    refused += 1;
+                }
+            }
+        }
+    }
+    assert!(refused > 0);
+}
+
+/// A small deterministic generator for the tree-schedule proptest.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (self.0 >> 33) as usize % bound
+    }
+}
+
+/// A random tree-shaped all-reduce on `n` nodes: the segments split into
+/// chunks of one to three, each reduced up and broadcast down a random
+/// spanning tree of its own, with the dependencies the shared tree
+/// lowering declares.
+fn random_tree_schedule(n: usize, rng: &mut Lcg) -> CommSchedule {
+    let segs = 1 + rng.below(2 * n) as u32;
+    // (chunk, root, [(parent, child, join step)])
+    let mut trees = Vec::new();
+    let mut start = 0;
+    while start < segs {
+        let end = segs.min(start + 1 + rng.below(3) as u32);
+        let root = rng.below(n);
+        let mut order: Vec<usize> = (0..n).filter(|&v| v != root).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        let mut joined = vec![(root, 0u32)];
+        let mut edges = Vec::new();
+        for child in order {
+            let (parent, at) = joined[rng.below(joined.len())];
+            let step = at + 1 + rng.below(3) as u32;
+            joined.push((child, step));
+            edges.push((parent, child, step));
+        }
+        trees.push((ChunkRange::new(start, end), root, edges));
+        start = end;
+    }
+    let tot = trees
+        .iter()
+        .flat_map(|(_, _, edges)| edges.iter().map(|e| e.2))
+        .max()
+        .unwrap_or(0);
+    let mut s = CommSchedule::new("random trees", n, segs);
+    for (flow, (chunk, root, mut edges)) in trees.into_iter().enumerate() {
+        let mut reduces_into: Vec<Vec<EventId>> = vec![Vec::new(); n];
+        let mut gather_into: Vec<Option<EventId>> = vec![None; n];
+        edges.sort_by_key(|e| std::cmp::Reverse(e.2));
+        for &(parent, child, step) in &edges {
+            let deps = reduces_into[child].clone();
+            let (src, dst) = (NodeId::new(child), NodeId::new(parent));
+            let (op, at) = (CollectiveOp::Reduce, tot - step + 1);
+            let id = s.push_event(src, dst, FlowId(flow), op, chunk, at, deps, None);
+            reduces_into[parent].push(id);
+        }
+        edges.reverse();
+        for &(parent, child, step) in &edges {
+            let deps = match gather_into[parent] {
+                Some(g) => vec![g],
+                None => reduces_into[root].clone(),
+            };
+            let (src, dst) = (NodeId::new(parent), NodeId::new(child));
+            let (op, at) = (CollectiveOp::Gather, tot + step);
+            let id = s.push_event(src, dst, FlowId(flow), op, chunk, at, deps, None);
+            gather_into[child] = Some(id);
+        }
+    }
+    s
+}
+
+/// Ways to perturb one event of a tree schedule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Perturbation {
+    DropDep,
+    DuplicateDep,
+    RetargetDep,
+    ShiftStep,
+    FlipOp,
+    ShiftChunk,
+}
+
+const PERTURBATIONS: [Perturbation; 6] = [
+    Perturbation::DropDep,
+    Perturbation::DuplicateDep,
+    Perturbation::RetargetDep,
+    Perturbation::ShiftStep,
+    Perturbation::FlipOp,
+    Perturbation::ShiftChunk,
+];
+
+/// Rebuilds `s` with `p` applied to event `at`, choosing among its deps
+/// (or earlier events, or directions) by `pick`.
+fn perturb(s: &CommSchedule, p: Perturbation, at: usize, pick: usize) -> CommSchedule {
+    let mut out = CommSchedule::new(s.algorithm(), s.num_nodes(), s.total_segments());
+    let target = at % s.num_events();
+    for e in s.events() {
+        let (mut op, mut chunk, mut step) = (e.op, e.chunk, e.step);
+        let mut deps = e.deps().to_vec();
+        if e.id.index() == target {
+            let k = pick % deps.len().max(1);
+            match p {
+                Perturbation::DropDep if !deps.is_empty() => {
+                    deps.remove(k);
+                }
+                Perturbation::DuplicateDep if !deps.is_empty() => deps.push(deps[k]),
+                Perturbation::RetargetDep if target > 0 => {
+                    let to = EventId::new(pick % target);
+                    match deps.get_mut(k) {
+                        Some(d) => *d = to,
+                        None => deps.push(to),
+                    }
+                }
+                Perturbation::ShiftStep => {
+                    step = if pick.is_multiple_of(2) {
+                        step + 1
+                    } else {
+                        (step - 1).max(1)
+                    }
+                }
+                Perturbation::FlipOp => {
+                    op = match op {
+                        CollectiveOp::Reduce => CollectiveOp::Gather,
+                        CollectiveOp::Gather => CollectiveOp::Reduce,
+                    }
+                }
+                Perturbation::ShiftChunk => {
+                    if chunk.end < s.total_segments()
+                        && (pick.is_multiple_of(2) || chunk.start == 0)
+                    {
+                        chunk = ChunkRange::new(chunk.start + 1, chunk.end + 1);
+                    } else if chunk.start > 0 {
+                        chunk = ChunkRange::new(chunk.start - 1, chunk.end - 1);
+                    }
+                }
+                _ => {}
+            }
+        }
+        out.push_event(e.src, e.dst, e.flow, op, chunk, step, deps, e.path());
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn perturbed_tree_schedules_stay_one_sided(
+        n in 2usize..9,
+        seed in 0u64..1_000_000,
+        kind in 0usize..6,
+        at in 0usize..100_000,
+    ) {
+        let mut rng = Lcg(seed);
+        let s = random_tree_schedule(n, &mut rng);
+        prop_assert_eq!(assert_one_sided("unperturbed", &s), Certificate::Certified);
+        let p = PERTURBATIONS[kind];
+        let bad = perturb(&s, p, at, rng.below(1 << 20));
+        let certificate = assert_one_sided(&format!("{p:?} at {at}"), &bad);
+        if p == Perturbation::DuplicateDep {
+            // distinct dependencies are counted, so a duplicate is harmless
+            prop_assert_eq!(certificate, Certificate::Certified);
         }
     }
 }
