@@ -110,13 +110,6 @@ fn flow_run_1024(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    g.bench_function("multitree/fair", |b| {
-        b.iter(|| {
-            engine
-                .run_prepared_fair_with(&prep, bytes, &mut scratch, &mut NoopObserver)
-                .unwrap()
-        })
-    });
     g.finish();
 }
 

@@ -15,12 +15,11 @@
 //! exercising the kilonode construction fast path. Past 1024 the ladder
 //! enters the hierarchical composition's territory: 4096 (64×64) and
 //! 16384 (128×128) add a MULTITREE-HIER column — the pod-hierarchical
-//! MultiTree executed by the sharded flow engine on its own pod
-//! partition — and the flat algorithms stop at 1024 (a flat RING at 16k
-//! is half a billion events; the hierarchical schedule is ~65 k).
-//! `--threads` parallelizes over (torus size, algorithm) units; the
-//! output is byte-identical to a single-threaded run and to any shard
-//! count.
+//! MultiTree executed by the flow engine — and the flat algorithms stop
+//! at 1024 (a flat RING at 16k is half a billion events; the
+//! hierarchical schedule is ~65 k). `--threads` parallelizes over (torus
+//! size, algorithm) units; the output is byte-identical to a
+//! single-threaded run.
 //!
 //! Hierarchical construction is tunable: `--pods N` overrides the pod
 //! count (0 = `Partition::auto`) and `--build-threads N` fans the
@@ -45,7 +44,7 @@ use mt_bench::args::Args;
 use mt_bench::dump_json;
 use mt_bench::parallel::run_indexed;
 use mt_bench::suites::{run_engine_prepared, scalability_tori_to, EngineKind};
-use mt_netsim::{flow::FlowEngine, NetworkConfig, NoopObserver, ShardPlan, SimScratch};
+use mt_netsim::{flow::FlowEngine, NetworkConfig, NoopObserver, SimScratch};
 use mt_topology::{LinkId, Topology};
 use serde::Serialize;
 
@@ -57,7 +56,7 @@ const FLAT_CEILING: usize = 1024;
 enum Col {
     /// A flat algorithm on the rung's torus.
     Flat(Algorithm),
-    /// The pod-hierarchical MultiTree through the sharded flow engine.
+    /// The pod-hierarchical MultiTree through the flow engine.
     Hier,
     /// The bandwidth-aware MultiTree on an oversubscribed two-tier
     /// fat-tree of the same node count (`--oversub` ratio).
@@ -183,7 +182,6 @@ fn main() {
                     if pods > 0 {
                         hier.pods = Some(pods);
                     }
-                    let plan = ShardPlan::from_partition(topo, &hier.partition(topo));
                     let t0 = std::time::Instant::now();
                     let schedule = hier.build(topo).expect("torus supported");
                     let construct = t0.elapsed().as_secs_f64() * 1e3;
@@ -192,14 +190,8 @@ fn main() {
                         PreparedSchedule::new(&schedule, topo).expect("schedules validate");
                     let prepare = t0.elapsed().as_secs_f64() * 1e3;
                     let c = FlowEngine::new(*net)
-                        .run_prepared_sharded_with(
-                            &prep,
-                            *bytes,
-                            &mut SimScratch::new(),
-                            &plan,
-                            &mut NoopObserver,
-                        )
-                        .expect("sharded flow run completes")
+                        .run_prepared_with(&prep, *bytes, &mut SimScratch::new(), &mut NoopObserver)
+                        .expect("flow run completes")
                         .sim
                         .completion_ns;
                     (c, construct, prepare)

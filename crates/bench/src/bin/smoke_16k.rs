@@ -1,38 +1,34 @@
 //! 16k-node smoke check: hierarchically constructs the MultiTree
 //! all-reduce on a 128×128 torus (16384 nodes, auto pod partition) and
-//! executes it with the sharded flow engine, failing if the whole thing
-//! blows a wall-clock budget. The flat construction path is quadratic
-//! territory at this scale (a flat RING schedule would be half a
-//! billion events; the hierarchical one is ~65 k), so this binary is
-//! the CI tripwire for the hierarchical composition and the sharded
-//! scheduler both: a regression in either shows up as an
-//! order-of-magnitude wall-clock jump.
+//! executes it with the flow engine, failing if the whole thing blows a
+//! wall-clock budget. The flat construction path is quadratic territory
+//! at this scale (a flat RING schedule would be half a billion events;
+//! the hierarchical one is ~65 k), so this binary is the CI tripwire for
+//! the hierarchical composition and the flow engine at scale: a
+//! regression in either shows up as an order-of-magnitude wall-clock
+//! jump.
 //!
-//! Two full-scale determinism guarantees are asserted on every CI run:
-//!
-//! * **shard counts** — the schedule is executed at two shard counts
-//!   and the reports compared field-for-field (the sharded engine's
-//!   byte-identical-for-any-shard-count promise);
-//! * **build threads** — the schedule is rebuilt with the per-pod tree
-//!   builds fanned across 2 workers and compared byte-for-byte against
-//!   the serial build (the parallel pod-build promise).
+//! Build-thread determinism is asserted at full scale on every CI run:
+//! the schedule is rebuilt with the per-pod tree builds fanned across 2
+//! workers and compared byte-for-byte against the serial build (the
+//! parallel pod-build promise).
 //!
 //! The partition, schedule and prepared schedule are constructed
-//! **once** and reused by every engine run, so the timed engine section
-//! measures the engine, not redundant construction.
+//! **once**, so the timed engine section measures the engine, not
+//! redundant construction.
 //!
 //! ```text
 //! cargo run --release -p mt-bench --bin smoke_16k [-- --side 128] [--budget-s 120] [--bytes-mib 6000]
 //! ```
 //!
 //! Exits non-zero (with a diagnostic) when the budget is exceeded, the
-//! shard counts disagree, or the run produces an implausible result.
+//! build threads disagree, or the run produces an implausible result.
 
 use multitree::algorithms::{AllReduce, HierarchicalMultiTree};
 use multitree::PreparedSchedule;
 use mt_bench::args::Args;
-use mt_netsim::{flow::FlowEngine, NetworkConfig, NoopObserver, ShardPlan, SimScratch};
-use mt_topology::{Partition, Topology};
+use mt_netsim::{flow::FlowEngine, NetworkConfig, NoopObserver, SimScratch};
+use mt_topology::Topology;
 use std::time::Instant;
 
 fn main() {
@@ -46,8 +42,7 @@ fn main() {
 
     let wall = Instant::now();
 
-    // ---- construction: partition once, build once, prepare once; the
-    // engine runs below all reuse these.
+    // ---- construction: partition once, build once, prepare once.
     let t0 = Instant::now();
     let hier = HierarchicalMultiTree::default();
     let part = hier.partition(&topo);
@@ -71,36 +66,18 @@ fn main() {
     let prep = PreparedSchedule::new(&schedule, &topo).expect("schedule validates");
     let prepare = t0.elapsed();
 
-    let pod_plan = ShardPlan::from_partition(&topo, &part);
-    let other_plan = ShardPlan::from_partition(&topo, &Partition::balanced(&topo, 7));
-
-    // ---- engine: the timed section measures only the sharded runs.
+    // ---- engine: the timed section measures only the flow run.
     let engine = FlowEngine::new(NetworkConfig::paper_message_based());
-    let mut scratch = SimScratch::new();
     let t0 = Instant::now();
     let report = engine
-        .run_prepared_sharded_with(
+        .run_prepared_with(
             &prep,
             bytes_mib << 20,
-            &mut scratch,
-            &pod_plan,
+            &mut SimScratch::new(),
             &mut NoopObserver,
         )
-        .expect("sharded flow run completes");
+        .expect("flow run completes");
     let flow = t0.elapsed();
-
-    // determinism across shard counts, asserted at full scale
-    let t0 = Instant::now();
-    let report7 = engine
-        .run_prepared_sharded_with(
-            &prep,
-            bytes_mib << 20,
-            &mut scratch,
-            &other_plan,
-            &mut NoopObserver,
-        )
-        .expect("sharded flow run completes");
-    let flow7 = t0.elapsed();
     let total = wall.elapsed();
 
     println!(
@@ -112,17 +89,11 @@ fn main() {
     println!("  hierarchical construct: {construct:?} (2 build threads: {construct_mt:?})");
     println!("  prepare:                {prepare:?}");
     println!(
-        "  sharded flow run ({} shards): {flow:?} (completion {:.3} ms)",
-        pod_plan.num_shards(),
+        "  flow run:               {flow:?} (completion {:.3} ms)",
         report.sim.completion_ns / 1e6
     );
-    println!("  sharded flow run (7 shards): {flow7:?}");
     println!("  total:                  {total:?} (budget {budget_s}s)");
 
-    assert_eq!(
-        report, report7,
-        "sharded engine diverged across shard counts"
-    );
     assert!(report.sim.messages > 0, "no messages simulated");
     assert!(
         report.sim.completion_ns > 0.0,
@@ -135,5 +106,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("OK: within budget, byte-identical across shard counts and build threads");
+    println!("OK: within budget, byte-identical across build threads");
 }

@@ -168,7 +168,7 @@ impl HierarchicalMultiTree {
     }
 
     /// [`HierarchicalMultiTree::build_with`] over a caller-supplied
-    /// partition (the same one a sharded simulation run would use).
+    /// partition.
     ///
     /// # Errors
     ///

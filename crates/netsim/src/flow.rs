@@ -23,12 +23,10 @@ use crate::fault::{CompiledFaults, FaultEvent, FaultPlan, FaultReport, FaultedRu
 use crate::flowctrl::frame_message;
 use crate::observer::{NoopObserver, ObservedEngine, RunInfo, SimObserver};
 use crate::report::{EngineDetail, EngineReport, SimReport};
-use crate::scratch::{pack_key, reset_to, Key, MinQueue, SimScratch};
-use crate::shard::ShardPlan;
+use crate::scratch::{reset_to, Key, SimScratch};
 use crate::Engine;
 use multitree::{AlgorithmError, CommSchedule, PreparedSchedule};
-use mt_topology::{LinkId, Topology};
-
+use mt_topology::Topology;
 
 /// The flow-level engine. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
@@ -180,46 +178,6 @@ impl FlowEngine {
             faults: fr.expect("faulted runs always produce a fault report"),
         })
     }
-
-    /// Executes a prepared schedule under **max-min fair bandwidth
-    /// sharing** instead of FIFO whole-message serialization: every
-    /// in-flight transfer streams simultaneously, each link divides its
-    /// bandwidth max-min fairly among the transfers crossing it, and
-    /// rates are re-water-filled whenever a transfer starts or finishes.
-    ///
-    /// This is the classic flow-level model of a network with per-flow
-    /// fair queueing (the paper's baseline routers are FIFO, which is
-    /// what [`FlowEngine::run_prepared_with`] models — this entry exists
-    /// to bound how much of a schedule's congestion is a FIFO artifact).
-    ///
-    /// The recompute is *incremental*: a rate change can only propagate
-    /// through links whose active-transfer set is connected (via shared
-    /// transfers) to a link that actually changed, so each water-filling
-    /// pass runs on that dirty component only, not the whole network.
-    /// On a contention-free schedule every component is a single
-    /// transfer and a run costs the same as the FIFO pass; results are
-    /// deterministic and allocation-free at steady state either way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
-    /// configuration fails [`NetworkConfig::validate`].
-    /// Returns [`AlgorithmError::MalformedSchedule`] if the simulation
-    /// deadlocks (a dependency cycle hidden from static validation).
-    pub fn run_prepared_fair_with<O: SimObserver>(
-        &self,
-        prep: &PreparedSchedule<'_>,
-        total_bytes: u64,
-        scratch: &mut SimScratch,
-        obs: &mut O,
-    ) -> Result<EngineReport, AlgorithmError> {
-        let sim = self.run_prepared_fair_impl::<O, false>(prep, total_bytes, scratch, obs)?;
-        Ok(EngineReport {
-            sim,
-            detail: EngineDetail::Flow,
-        })
-    }
-
 }
 
 impl Engine for FlowEngine {
@@ -237,8 +195,7 @@ impl Engine for FlowEngine {
 }
 
 impl FlowEngine {
-    /// Wire framings and lockstep gates, shared by the FIFO and fair-share
-    /// execution loops.
+    /// Wire framings and lockstep gates for the execution loop.
     ///
     /// Wire framing depends only on (event, payload size): compute it
     /// once per run.
@@ -567,718 +524,7 @@ impl FlowEngine {
         ))
     }
 
-    /// Executes a prepared schedule through **per-shard event queues**
-    /// instead of one global ready heap: events live in the queue of
-    /// their source node's shard (per `plan`), and the scheduler drains
-    /// the current shard in bursts, re-synchronizing across shards only
-    /// when another shard could hold an earlier event.
-    ///
-    /// Results are **bit-identical** to
-    /// [`FlowEngine::run_prepared_with`] for *any* shard count,
-    /// including the observer callback order: the burst bound is
-    /// maintained so that every popped event is still the global
-    /// `(time, id)` minimum, so the execution order — and therefore
-    /// every float in the report — is exactly the single-queue order.
-    /// What sharding buys is structural: each heap is a fraction of the
-    /// global size (cheaper sift operations, better locality), and
-    /// within a burst the scheduler touches only one shard's queue — on
-    /// pod-local schedules like the hierarchical MultiTree's intra-pod
-    /// phases, bursts span whole subtrees. `ShardPlan::new(topo, 1)`
-    /// degenerates to the single-queue engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` was built for a different number of nodes than
-    /// `prep`'s topology.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AlgorithmError::InvalidConfig`] if the engine's
-    /// configuration fails [`NetworkConfig::validate`].
-    /// Returns [`AlgorithmError::MalformedSchedule`] if the simulation
-    /// deadlocks (a dependency cycle hidden from static validation).
-    pub fn run_prepared_sharded_with<O: SimObserver>(
-        &self,
-        prep: &PreparedSchedule<'_>,
-        total_bytes: u64,
-        scratch: &mut SimScratch,
-        plan: &ShardPlan,
-        obs: &mut O,
-    ) -> Result<EngineReport, AlgorithmError> {
-        let sim = self.run_prepared_sharded_impl(prep, total_bytes, scratch, plan, obs)?;
-        Ok(EngineReport {
-            sim,
-            detail: EngineDetail::Flow,
-        })
-    }
-
-    /// The sharded twin of the healthy `run_prepared_impl` loop. Kept as
-    /// a separate copy — like the reference/fast pairs elsewhere in this
-    /// workspace — so the flat hot loop stays untouched and the
-    /// differential tests can pit the two against each other.
-    fn run_prepared_sharded_impl<O: SimObserver>(
-        &self,
-        prep: &PreparedSchedule<'_>,
-        total_bytes: u64,
-        scratch: &mut SimScratch,
-        plan: &ShardPlan,
-        obs: &mut O,
-    ) -> Result<SimReport, AlgorithmError> {
-        self.cfg.validate()?;
-        let topo = prep.topology();
-        assert_eq!(
-            plan.num_nodes(),
-            topo.num_nodes(),
-            "ShardPlan was built for a different topology"
-        );
-        let cfg = &self.cfg;
-        let flit_ns = cfg.flit_time_ns();
-        let num_events = prep.num_events();
-
-        if O::ENABLED {
-            obs.on_run_start(&RunInfo {
-                engine: ObservedEngine::Flow,
-                cfg,
-                prep,
-                total_bytes,
-            });
-        }
-
-        self.fill_framings_and_gates::<false>(prep, total_bytes, scratch, &NO_FAULTS);
-
-        // Home shard of each event = shard of its source node.
-        scratch.shard_home.clear();
-        scratch.shard_home.extend(
-            (0..num_events)
-                .map(|i| plan.shard_of_node(mt_topology::NodeId::new(prep.src_index(i))) as u32),
-        );
-        if scratch.shard_heaps.len() != plan.num_shards() {
-            scratch.shard_heaps.resize_with(plan.num_shards(), MinQueue::default);
-        }
-        for h in &mut scratch.shard_heaps {
-            h.clear();
-        }
-
-        let framings = &scratch.framings;
-        let gates = &scratch.gates;
-
-        reset_to(&mut scratch.link_free, topo.num_links(), 0.0f64);
-        reset_to(&mut scratch.node_free, topo.num_nodes(), 0.0f64);
-        scratch.remaining_deps.clear();
-        scratch
-            .remaining_deps
-            .extend((0..num_events).map(|i| prep.indegree(i)));
-        let link_free = &mut scratch.link_free;
-        let node_free = &mut scratch.node_free;
-        let remaining_deps = &mut scratch.remaining_deps;
-        reset_to(&mut scratch.ready_at, num_events, 0.0f64);
-        let ready_at = &mut scratch.ready_at;
-        let mut ready = ShardedReady {
-            heaps: &mut scratch.shard_heaps,
-            home: &scratch.shard_home,
-            cur: 0,
-            bound: 0, // below any real key: the first pop rescans
-        };
-        for i in 0..num_events {
-            if remaining_deps[i] == 0 {
-                let t = gates[prep.step(i) as usize];
-                ready_at[i] = t;
-                ready.push(Key(t, i));
-            }
-        }
-
-        reset_to(&mut scratch.used, topo.num_links(), false);
-        let used = &mut scratch.used;
-
-        let mut done = 0usize;
-        let mut completion: f64 = 0.0;
-        let mut flits_sent = 0u64;
-        let mut head_flits = 0u64;
-        let mut flit_hops = 0u64;
-        let mut head_flit_hops = 0u64;
-        let mut busy_ns = 0.0f64;
-        let hop_ns = cfg.link_latency_ns + f64::from(cfg.router_pipeline_cycles) * cfg.cycle_ns();
-
-        while let Some(Key(t0, i)) = ready.pop() {
-            let src = prep.src_index(i);
-            let t = t0.max(node_free[src]) + cfg.sw_launch_overhead_ns;
-            if cfg.sw_launch_overhead_ns > 0.0 {
-                node_free[src] = t;
-            }
-            if O::ENABLED {
-                obs.on_flow_event_start(t, i as u32, prep.step(i));
-            }
-            let framing = framings[i];
-            let flits = framing.total_flits();
-            flits_sent += flits;
-            head_flits += framing.head_flits;
-            let path = prep.path(i);
-            flit_hops += flits * path.len() as u64;
-            head_flit_hops += framing.head_flits * path.len() as u64;
-
-            let mut head_arrival = t;
-            let mut last_start = t;
-            let mut last_ser = 0.0;
-            for (l, &cap) in path.iter().zip(prep.path_capacities(i)) {
-                let ser = flits as f64 * flit_ns / cap;
-                let start = head_arrival.max(link_free[l.index()]);
-                link_free[l.index()] = start + ser;
-                head_arrival = start + hop_ns;
-                last_start = start;
-                last_ser = ser;
-                busy_ns += ser;
-                used[l.index()] = true;
-                if O::ENABLED {
-                    obs.on_flow_link_busy(l.index() as u32, start, ser);
-                }
-            }
-            let delivery = if path.is_empty() {
-                t
-            } else {
-                last_start + hop_ns + last_ser
-            };
-            if O::ENABLED {
-                obs.on_flow_event_finish(delivery, i as u32, prep.step(i));
-            }
-            completion = completion.max(delivery);
-            done += 1;
-
-            for &dep_idx in prep.dependents(i) {
-                let dep_idx = dep_idx as usize;
-                remaining_deps[dep_idx] -= 1;
-                ready_at[dep_idx] = ready_at[dep_idx].max(delivery);
-                if remaining_deps[dep_idx] == 0 {
-                    let start = ready_at[dep_idx].max(gates[prep.step(dep_idx) as usize]);
-                    ready.push(Key(start, dep_idx));
-                }
-            }
-        }
-
-        if done != num_events {
-            return Err(AlgorithmError::MalformedSchedule {
-                detail: format!(
-                    "simulation deadlocked: {} of {} events never became ready",
-                    num_events - done,
-                    num_events
-                ),
-            });
-        }
-
-        if O::ENABLED {
-            obs.on_run_end(completion);
-        }
-        Ok(SimReport {
-            total_bytes,
-            completion_ns: completion,
-            flits_sent,
-            head_flits,
-            messages: num_events,
-            flit_hops,
-            head_flit_hops,
-            links_used: used.iter().filter(|&&u| u).count(),
-            total_links: topo.num_links(),
-            busy_ns,
-        })
-    }
 }
-
-/// Per-shard ready queues that pop in exact global `(time, id)` order.
-///
-/// `cur` is the shard being drained; `bound` is a lower bound on every
-/// key held by *other* shards (seeded by a full rescan, then tightened
-/// on each push that lands off-shard). While the current shard's top is
-/// strictly below `bound`, it is strictly below every other shard's
-/// minimum and can be popped without looking at them — that's the
-/// burst. When the top reaches `bound`, one rescan over the shard tops
-/// re-elects the minimum shard and the runner-up becomes the new bound.
-/// Pushed keys never sort before the key being processed (simulation
-/// time is monotone), so the invariant survives pushes into `cur`, and
-/// keys are unique (event id in the low bits), so strict `<` never
-/// skips a tie. Net effect: identical pop sequence to one global heap,
-/// with rescans only at genuine cross-shard hand-offs.
-struct ShardedReady<'a> {
-    heaps: &'a mut [MinQueue],
-    home: &'a [u32],
-    cur: usize,
-    bound: u128,
-}
-
-impl ShardedReady<'_> {
-    fn push(&mut self, k: Key) {
-        let h = self.home[k.1] as usize;
-        self.heaps[h].push(k);
-        if h != self.cur {
-            self.bound = self.bound.min(pack_key(k));
-        }
-    }
-
-    fn pop(&mut self) -> Option<Key> {
-        if let Some(top) = self.heaps[self.cur].peek_packed() {
-            if top < self.bound {
-                return self.heaps[self.cur].pop();
-            }
-        }
-        // Burst over: re-elect the minimum shard; the runner-up top
-        // bounds how long the next burst may run.
-        let mut best: Option<(u128, usize)> = None;
-        let mut second = u128::MAX;
-        for (s, h) in self.heaps.iter().enumerate() {
-            let Some(p) = h.peek_packed() else { continue };
-            match best {
-                None => best = Some((p, s)),
-                Some((bp, _)) if p < bp => {
-                    second = bp;
-                    best = Some((p, s));
-                }
-                Some(_) => second = second.min(p),
-            }
-        }
-        let (_, s) = best?;
-        self.cur = s;
-        self.bound = second;
-        self.heaps[s].pop()
-    }
-}
-
-// --- max-min fair-share variant --------------------------------------
-
-/// Per-flow / per-link state for [`FlowEngine::run_prepared_fair_with`].
-/// Lives inside [`SimScratch`] so sweeps reuse it across runs.
-#[derive(Default)]
-pub(crate) struct FairScratch {
-    /// Launch queue: (time, event) of transfers whose dependencies and
-    /// lockstep gate are met.
-    arrive: MinQueue,
-    /// Predicted completions: `(time, event << 32 | version)`. An entry
-    /// whose version no longer matches the flow's is stale and skipped
-    /// on pop (lazy invalidation — no decrease-key needed).
-    finish: MinQueue,
-    /// Software launch serialization already applied.
-    launched: Vec<bool>,
-    /// Current fair rate, flits/ns.
-    rate: Vec<f64>,
-    /// Unsent flits as of `last_upd`.
-    remaining: Vec<f64>,
-    /// Simulation time `remaining` was last settled at.
-    last_upd: Vec<f64>,
-    /// Bumped whenever a flow's rate is reassigned.
-    version: Vec<u32>,
-    /// Water-filling: flow already frozen at its final rate this pass.
-    frozen: Vec<bool>,
-    /// Component-closure membership flags (cleared after every pass).
-    seen_flow: Vec<bool>,
-    seen_link: Vec<bool>,
-    /// Active transfers per link.
-    link_flows: Vec<Vec<u32>>,
-    /// Water-filling per-link unfrozen-flow count / residual bandwidth.
-    link_n: Vec<u32>,
-    link_res: Vec<f64>,
-    /// Links whose active-transfer set changed since the last pass.
-    dirty: Vec<u32>,
-    dirty_flag: Vec<bool>,
-    /// Closure traversal stack and the component it produces.
-    stack: Vec<u32>,
-    comp_links: Vec<u32>,
-    comp_flows: Vec<u32>,
-}
-
-impl FairScratch {
-    fn reset(&mut self, num_events: usize, num_links: usize) {
-        self.arrive.clear();
-        self.finish.clear();
-        reset_to(&mut self.launched, num_events, false);
-        reset_to(&mut self.rate, num_events, 0.0);
-        reset_to(&mut self.remaining, num_events, 0.0);
-        reset_to(&mut self.last_upd, num_events, 0.0);
-        reset_to(&mut self.version, num_events, 0);
-        reset_to(&mut self.frozen, num_events, false);
-        reset_to(&mut self.seen_flow, num_events, false);
-        for v in &mut self.link_flows {
-            v.clear();
-        }
-        if self.link_flows.len() < num_links {
-            self.link_flows.resize_with(num_links, Vec::new);
-        } else {
-            self.link_flows.truncate(num_links);
-        }
-        reset_to(&mut self.link_n, num_links, 0);
-        reset_to(&mut self.link_res, num_links, 0.0);
-        reset_to(&mut self.seen_link, num_links, false);
-        reset_to(&mut self.dirty_flag, num_links, false);
-        self.dirty.clear();
-        self.stack.clear();
-        self.comp_links.clear();
-        self.comp_flows.clear();
-    }
-
-    fn mark_dirty(&mut self, l: usize) {
-        if !self.dirty_flag[l] {
-            self.dirty_flag[l] = true;
-            self.dirty.push(l as u32);
-        }
-    }
-
-    pub(crate) fn capacity_elements(&self) -> usize {
-        self.arrive.capacity()
-            + self.finish.capacity()
-            + self.launched.capacity()
-            + self.rate.capacity()
-            + self.remaining.capacity()
-            + self.last_upd.capacity()
-            + self.version.capacity()
-            + self.frozen.capacity()
-            + self.seen_flow.capacity()
-            + self.seen_link.capacity()
-            + self.link_flows.capacity()
-            + self.link_flows.iter().map(Vec::capacity).sum::<usize>()
-            + self.link_n.capacity()
-            + self.link_res.capacity()
-            + self.dirty.capacity()
-            + self.dirty_flag.capacity()
-            + self.stack.capacity()
-            + self.comp_links.capacity()
-            + self.comp_flows.capacity()
-    }
-}
-
-#[inline]
-fn pack_finish(flow: usize, version: u32) -> usize {
-    debug_assert!(flow < (1 << 32), "event index must fit in 32 bits");
-    (flow << 32) | version as usize
-}
-
-#[inline]
-fn unpack_finish(packed: usize) -> (usize, u32) {
-    (packed >> 32, packed as u32)
-}
-
-/// One max-min water-filling pass over the component of links reachable
-/// from the dirty set through shared active transfers. Rates outside
-/// that component cannot have changed: a transfer whose rate depended on
-/// any dirty link would be pulled into the component by the closure, so
-/// restricting the recompute is exact, not an approximation.
-fn refill_component(f: &mut FairScratch, prep: &PreparedSchedule<'_>, flit_ns: f64, t: f64) {
-    let topo = prep.topology();
-    f.comp_links.clear();
-    f.comp_flows.clear();
-
-    // seed with the dirty links, then close over flows <-> links
-    while let Some(li) = f.dirty.pop() {
-        let li = li as usize;
-        f.dirty_flag[li] = false;
-        if !f.seen_link[li] {
-            f.seen_link[li] = true;
-            f.stack.push(li as u32);
-        }
-    }
-    while let Some(li) = f.stack.pop() {
-        let li = li as usize;
-        f.comp_links.push(li as u32);
-        for k in 0..f.link_flows[li].len() {
-            let fl = f.link_flows[li][k] as usize;
-            if f.seen_flow[fl] {
-                continue;
-            }
-            f.seen_flow[fl] = true;
-            f.comp_flows.push(fl as u32);
-            for m in prep.path(fl) {
-                let mi = m.index();
-                if !f.seen_link[mi] {
-                    f.seen_link[mi] = true;
-                    f.stack.push(mi as u32);
-                }
-            }
-        }
-    }
-
-    // settle progress at the old rates up to `t`
-    for k in 0..f.comp_flows.len() {
-        let fl = f.comp_flows[k] as usize;
-        f.remaining[fl] = (f.remaining[fl] - f.rate[fl] * (t - f.last_upd[fl])).max(0.0);
-        f.last_upd[fl] = t;
-    }
-
-    // water-fill: repeatedly find the tightest link and freeze its flows
-    for k in 0..f.comp_links.len() {
-        let li = f.comp_links[k] as usize;
-        f.link_n[li] = f.link_flows[li].len() as u32;
-        f.link_res[li] = topo.link_rate(LinkId::new(li)) / flit_ns;
-    }
-    let mut unfrozen = f.comp_flows.len();
-    while unfrozen > 0 {
-        let mut r = f64::INFINITY;
-        for &li in &f.comp_links {
-            let li = li as usize;
-            if f.link_n[li] > 0 {
-                let q = f.link_res[li] / f64::from(f.link_n[li]);
-                if q < r {
-                    r = q;
-                }
-            }
-        }
-        for k in 0..f.comp_links.len() {
-            let li = f.comp_links[k] as usize;
-            if f.link_n[li] == 0 || f.link_res[li] / f64::from(f.link_n[li]) > r {
-                continue;
-            }
-            for j in 0..f.link_flows[li].len() {
-                let fl = f.link_flows[li][j] as usize;
-                if f.frozen[fl] {
-                    continue;
-                }
-                f.frozen[fl] = true;
-                f.rate[fl] = r;
-                unfrozen -= 1;
-                for m in prep.path(fl) {
-                    let mi = m.index();
-                    f.link_n[mi] -= 1;
-                    f.link_res[mi] = (f.link_res[mi] - r).max(0.0);
-                }
-            }
-        }
-    }
-
-    // fresh completion predictions; clear the per-pass flags
-    for k in 0..f.comp_flows.len() {
-        let fl = f.comp_flows[k] as usize;
-        f.frozen[fl] = false;
-        f.seen_flow[fl] = false;
-        f.version[fl] = f.version[fl].wrapping_add(1);
-        let eta = if f.remaining[fl] <= 0.0 {
-            t
-        } else {
-            t + f.remaining[fl] / f.rate[fl]
-        };
-        f.finish.push(Key(eta, pack_finish(fl, f.version[fl])));
-    }
-    for k in 0..f.comp_links.len() {
-        f.seen_link[f.comp_links[k] as usize] = false;
-    }
-}
-
-impl FlowEngine {
-    /// The fair-share execution loop behind
-    /// [`FlowEngine::run_prepared_fair_with`]. `FULL` (tests only)
-    /// re-seeds every active link before each water-filling pass,
-    /// turning the incremental recompute into a global one — the
-    /// dirty-component logic is validated by comparing the two.
-    fn run_prepared_fair_impl<O: SimObserver, const FULL: bool>(
-        &self,
-        prep: &PreparedSchedule<'_>,
-        total_bytes: u64,
-        scratch: &mut SimScratch,
-        obs: &mut O,
-    ) -> Result<SimReport, AlgorithmError> {
-        self.cfg.validate()?;
-        let topo = prep.topology();
-        let cfg = &self.cfg;
-        let flit_ns = cfg.flit_time_ns();
-        let num_events = prep.num_events();
-        let hop_ns = cfg.link_latency_ns + f64::from(cfg.router_pipeline_cycles) * cfg.cycle_ns();
-
-        if O::ENABLED {
-            obs.on_run_start(&RunInfo {
-                engine: ObservedEngine::Flow,
-                cfg,
-                prep,
-                total_bytes,
-            });
-        }
-
-        self.fill_framings_and_gates::<false>(prep, total_bytes, scratch, &NO_FAULTS);
-
-        reset_to(&mut scratch.node_free, topo.num_nodes(), 0.0f64);
-        scratch.remaining_deps.clear();
-        scratch
-            .remaining_deps
-            .extend((0..num_events).map(|i| prep.indegree(i)));
-        reset_to(&mut scratch.ready_at, num_events, 0.0f64);
-        reset_to(&mut scratch.used, topo.num_links(), false);
-        scratch.fair.reset(num_events, topo.num_links());
-
-        let framings = &scratch.framings;
-        let gates = &scratch.gates;
-        let node_free = &mut scratch.node_free;
-        let remaining_deps = &mut scratch.remaining_deps;
-        let ready_at = &mut scratch.ready_at;
-        let used = &mut scratch.used;
-        let f = &mut scratch.fair;
-
-        for i in 0..num_events {
-            if remaining_deps[i] == 0 {
-                f.arrive.push(Key(gates[prep.step(i) as usize], i));
-            }
-        }
-
-        let mut done = 0usize;
-        let mut completion: f64 = 0.0;
-        let mut flits_sent = 0u64;
-        let mut head_flits = 0u64;
-        let mut flit_hops = 0u64;
-        let mut head_flit_hops = 0u64;
-        let mut busy_ns = 0.0f64;
-
-        loop {
-            // drop stale completion predictions, then pick the next time
-            while let Some(Key(_, packed)) = f.finish.peek() {
-                let (fi, ver) = unpack_finish(packed);
-                if f.version[fi] == ver {
-                    break;
-                }
-                f.finish.pop();
-            }
-            let t = match (f.finish.peek(), f.arrive.peek()) {
-                (None, None) => break,
-                (Some(Key(tf, _)), None) => tf,
-                (None, Some(Key(ta, _))) => ta,
-                (Some(Key(tf, _)), Some(Key(ta, _))) => tf.min(ta),
-            };
-
-            // 1) completions at exactly `t`, so bandwidth they free is
-            //    visible to transfers arriving at the same instant
-            while let Some(Key(tf, packed)) = f.finish.peek() {
-                let (i, ver) = unpack_finish(packed);
-                if f.version[i] != ver {
-                    f.finish.pop();
-                    continue;
-                }
-                if tf > t {
-                    break;
-                }
-                f.finish.pop();
-                let path = prep.path(i);
-                for l in path {
-                    let li = l.index();
-                    let pos = f.link_flows[li]
-                        .iter()
-                        .position(|&x| x as usize == i)
-                        .expect("completed flow must be on its links");
-                    f.link_flows[li].swap_remove(pos);
-                    f.mark_dirty(li);
-                }
-                // the head crossed the path while the body streamed
-                let delivery = tf + hop_ns * path.len() as f64;
-                if O::ENABLED {
-                    obs.on_flow_event_finish(delivery, i as u32, prep.step(i));
-                }
-                completion = completion.max(delivery);
-                done += 1;
-                for &dep_idx in prep.dependents(i) {
-                    let dep_idx = dep_idx as usize;
-                    remaining_deps[dep_idx] -= 1;
-                    ready_at[dep_idx] = ready_at[dep_idx].max(delivery);
-                    if remaining_deps[dep_idx] == 0 {
-                        let start = ready_at[dep_idx].max(gates[prep.step(dep_idx) as usize]);
-                        f.arrive.push(Key(start, dep_idx));
-                    }
-                }
-            }
-
-            // 2) arrivals at exactly `t`
-            while let Some(Key(ta, i)) = f.arrive.peek() {
-                if ta > t {
-                    break;
-                }
-                f.arrive.pop();
-                if !f.launched[i] {
-                    f.launched[i] = true;
-                    // software scheduling: launches serialize per node
-                    let src = prep.src_index(i);
-                    let tl = ta.max(node_free[src]) + cfg.sw_launch_overhead_ns;
-                    if cfg.sw_launch_overhead_ns > 0.0 {
-                        node_free[src] = tl;
-                        if tl > t {
-                            f.arrive.push(Key(tl, i));
-                            continue;
-                        }
-                    }
-                }
-                let step = prep.step(i);
-                if O::ENABLED {
-                    obs.on_flow_event_start(t, i as u32, step);
-                }
-                let framing = framings[i];
-                let flits = framing.total_flits();
-                flits_sent += flits;
-                head_flits += framing.head_flits;
-                let path = prep.path(i);
-                flit_hops += flits * path.len() as u64;
-                head_flit_hops += framing.head_flits * path.len() as u64;
-                if path.is_empty() {
-                    if O::ENABLED {
-                        obs.on_flow_event_finish(t, i as u32, step);
-                    }
-                    completion = completion.max(t);
-                    done += 1;
-                    for &dep_idx in prep.dependents(i) {
-                        let dep_idx = dep_idx as usize;
-                        remaining_deps[dep_idx] -= 1;
-                        ready_at[dep_idx] = ready_at[dep_idx].max(t);
-                        if remaining_deps[dep_idx] == 0 {
-                            let start = ready_at[dep_idx].max(gates[prep.step(dep_idx) as usize]);
-                            f.arrive.push(Key(start, dep_idx));
-                        }
-                    }
-                    continue;
-                }
-                for (l, &cap) in path.iter().zip(prep.path_capacities(i)) {
-                    let li = l.index();
-                    // each link still carries the whole message once:
-                    // identical busy accounting to the FIFO pass
-                    let ser = flits as f64 * flit_ns / cap;
-                    busy_ns += ser;
-                    used[li] = true;
-                    if O::ENABLED {
-                        obs.on_flow_link_busy(li as u32, t, ser);
-                    }
-                    f.link_flows[li].push(i as u32);
-                    f.mark_dirty(li);
-                }
-                f.rate[i] = 0.0;
-                f.remaining[i] = flits as f64;
-                f.last_upd[i] = t;
-            }
-
-            // 3) re-water-fill where the active sets changed
-            if FULL {
-                for li in 0..f.link_flows.len() {
-                    if !f.link_flows[li].is_empty() {
-                        f.mark_dirty(li);
-                    }
-                }
-            }
-            if !f.dirty.is_empty() {
-                refill_component(f, prep, flit_ns, t);
-            }
-        }
-
-        if done != num_events {
-            return Err(AlgorithmError::MalformedSchedule {
-                detail: format!(
-                    "simulation deadlocked: {} of {} events never became ready",
-                    num_events - done,
-                    num_events
-                ),
-            });
-        }
-        if O::ENABLED {
-            obs.on_run_end(completion);
-        }
-        Ok(SimReport {
-            total_bytes,
-            completion_ns: completion,
-            flits_sent,
-            head_flits,
-            messages: num_events,
-            flit_hops,
-            head_flit_hops,
-            links_used: used.iter().filter(|&&u| u).count(),
-            total_links: topo.num_links(),
-            busy_ns,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1436,206 +682,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.completion_ns, 0.0);
         assert_eq!(r.messages, 0);
-    }
-}
-
-#[cfg(test)]
-mod fair_tests {
-    use super::*;
-    use multitree::algorithms::{AllReduce, DbTree, MultiTree, Ring};
-    use multitree::{ChunkRange, CollectiveOp, FlowId};
-    use mt_topology::NodeId;
-
-    fn link_between(topo: &Topology, a: usize, b: usize) -> LinkId {
-        (0..topo.num_links())
-            .map(LinkId::new)
-            .find(|&l| {
-                let lk = topo.link(l);
-                lk.src.as_node().is_some_and(|n| n.index() == a)
-                    && lk.dst.as_node().is_some_and(|n| n.index() == b)
-            })
-            .expect("no direct link between the nodes")
-    }
-
-    #[test]
-    fn fair_single_transfer_matches_fifo_closed_form() {
-        // one uncontended transfer: the fair model degenerates to full
-        // bandwidth and must time exactly like the FIFO model
-        let topo = Topology::mesh(1, 2);
-        let mut s = CommSchedule::new("test", 2, 1);
-        let l = link_between(&topo, 0, 1);
-        s.push_event(
-            NodeId::new(0),
-            NodeId::new(1),
-            FlowId(0),
-            CollectiveOp::Gather,
-            ChunkRange::single(0),
-            1,
-            vec![],
-            Some(&[l]),
-        );
-        let prep = PreparedSchedule::new(&s, &topo).unwrap();
-        let eng = FlowEngine::new(NetworkConfig::paper_default());
-        let mut scratch = SimScratch::new();
-        let fair = eng
-            .run_prepared_fair_with(&prep, 1 << 20, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        let fifo = eng
-            .run_prepared_with(&prep, 1 << 20, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        let rel = (fair.sim.completion_ns - fifo.sim.completion_ns).abs()
-            / fifo.sim.completion_ns;
-        assert!(
-            rel < 1e-12,
-            "fair {} vs fifo {}",
-            fair.sim.completion_ns,
-            fifo.sim.completion_ns
-        );
-        assert_eq!(fair.sim.messages, 1);
-        assert_eq!(fair.sim.flits_sent, fifo.sim.flits_sent);
-    }
-
-    struct Finishes(Vec<f64>);
-    impl SimObserver for Finishes {
-        fn on_flow_event_finish(&mut self, delivery_ns: f64, _event: u32, _step: u32) {
-            self.0.push(delivery_ns);
-        }
-    }
-
-    #[test]
-    fn fair_splits_a_contended_link_instead_of_queueing() {
-        // two simultaneous transfers over the same link: FIFO staggers
-        // them (ser, then 2·ser), fair streams both at half rate so they
-        // finish together at 2·ser — same total, different shape
-        let topo = Topology::mesh(1, 2);
-        let mut s = CommSchedule::new("test", 2, 2);
-        let l = link_between(&topo, 0, 1);
-        for seg in 0..2 {
-            s.push_event(
-                NodeId::new(0),
-                NodeId::new(1),
-                FlowId(seg as usize),
-                CollectiveOp::Gather,
-                ChunkRange::single(seg),
-                1,
-                vec![],
-                Some(&[l]),
-            );
-        }
-        let prep = PreparedSchedule::new(&s, &topo).unwrap();
-        let eng = FlowEngine::new(NetworkConfig::paper_default());
-        let mut scratch = SimScratch::new();
-        let mut fin = Finishes(Vec::new());
-        let fair = eng
-            .run_prepared_fair_with(&prep, 1 << 20, &mut scratch, &mut fin)
-            .unwrap();
-        assert_eq!(fin.0.len(), 2);
-        assert!(
-            (fin.0[0] - fin.0[1]).abs() < 1e-9,
-            "fair sharing must finish both transfers together: {:?}",
-            fin.0
-        );
-        let fifo = eng
-            .run_prepared_with(&prep, 1 << 20, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        let rel = (fair.sim.completion_ns - fifo.sim.completion_ns).abs()
-            / fifo.sim.completion_ns;
-        assert!(
-            rel < 1e-9,
-            "last delivery carries the same total serialization: fair {} vs fifo {}",
-            fair.sim.completion_ns,
-            fifo.sim.completion_ns
-        );
-    }
-
-    #[test]
-    fn incremental_recompute_matches_full_water_filling() {
-        // the dirty-component pass must be a pure optimization: re-seeding
-        // every active link (FULL) yields the same simulation
-        let cases: Vec<(Topology, CommSchedule)> = vec![
-            {
-                let t = Topology::torus(4, 4);
-                let s = DbTree::default().build(&t).unwrap(); // congested
-                (t, s)
-            },
-            {
-                let t = Topology::torus(8, 8);
-                let s = MultiTree::default().build(&t).unwrap();
-                (t, s)
-            },
-            {
-                let t = Topology::torus(4, 4);
-                let s = Ring.build(&t).unwrap();
-                (t, s)
-            },
-        ];
-        let eng = FlowEngine::new(NetworkConfig::paper_default());
-        for (topo, s) in &cases {
-            let prep = PreparedSchedule::new(s, topo).unwrap();
-            let mut scratch = SimScratch::new();
-            let inc = eng
-                .run_prepared_fair_impl::<_, false>(&prep, 4 << 20, &mut scratch, &mut NoopObserver)
-                .unwrap();
-            let full = eng
-                .run_prepared_fair_impl::<_, true>(&prep, 4 << 20, &mut scratch, &mut NoopObserver)
-                .unwrap();
-            assert_eq!(inc.messages, full.messages);
-            assert_eq!(inc.flits_sent, full.flits_sent);
-            assert_eq!(inc.links_used, full.links_used);
-            let rel =
-                (inc.completion_ns - full.completion_ns).abs() / full.completion_ns.max(1.0);
-            assert!(
-                rel < 1e-9,
-                "incremental {} vs full {}",
-                inc.completion_ns,
-                full.completion_ns
-            );
-        }
-    }
-
-    #[test]
-    fn fair_runs_are_deterministic_and_allocation_free_at_steady_state() {
-        let topo = Topology::torus(8, 8);
-        let s = MultiTree::default().build(&topo).unwrap();
-        let prep = PreparedSchedule::new(&s, &topo).unwrap();
-        let eng = FlowEngine::new(NetworkConfig::paper_default());
-        let mut scratch = SimScratch::new();
-        let a = eng
-            .run_prepared_fair_with(&prep, 1 << 20, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        let warm = scratch.capacity_elements();
-        let b = eng
-            .run_prepared_fair_with(&prep, 1 << 20, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        assert_eq!(a.sim, b.sim);
-        assert_eq!(
-            scratch.capacity_elements(),
-            warm,
-            "fair runs must not allocate at steady state"
-        );
-    }
-
-    #[test]
-    fn fair_completes_multitree_and_lands_near_fifo() {
-        // multitree schedules are near contention-free by construction,
-        // so the two queueing disciplines should land close together
-        let topo = Topology::torus(8, 8);
-        let s = MultiTree::default().build(&topo).unwrap();
-        let prep = PreparedSchedule::new(&s, &topo).unwrap();
-        let eng = FlowEngine::new(NetworkConfig::paper_default());
-        let mut scratch = SimScratch::new();
-        let fair = eng
-            .run_prepared_fair_with(&prep, 4 << 20, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        let fifo = eng
-            .run_prepared_with(&prep, 4 << 20, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        let ratio = fair.sim.completion_ns / fifo.sim.completion_ns;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "fair/fifo completion ratio {ratio} out of range"
-        );
-        assert_eq!(fair.sim.messages, fifo.sim.messages);
     }
 }
 

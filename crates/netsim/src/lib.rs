@@ -58,7 +58,6 @@ pub mod nic;
 pub mod observer;
 mod report;
 mod scratch;
-pub mod shard;
 pub mod synthetic;
 pub mod telemetry;
 
@@ -68,7 +67,6 @@ pub use fault::{CompiledFaults, FaultEvent, FaultPlan, FaultReport, FaultedRun};
 pub use observer::{NoopObserver, ObservedEngine, RunInfo, SimObserver};
 pub use report::{EngineDetail, EngineReport, SimReport};
 pub use scratch::SimScratch;
-pub use shard::ShardPlan;
 
 use multitree::{AlgorithmError, CommSchedule};
 use mt_topology::Topology;

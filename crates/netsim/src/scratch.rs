@@ -34,7 +34,7 @@ pub(crate) struct MinQueue {
 /// `(time, id)` order for the non-negative finite times a simulation
 /// produces, and keys with distinct ids never compare equal.
 #[inline]
-pub(crate) fn pack_key(k: Key) -> u128 {
+fn pack_key(k: Key) -> u128 {
     // `+ 0.0` folds -0.0 into +0.0 (bit patterns differ, values don't)
     (u128::from((k.0 + 0.0).to_bits()) << 64) | k.1 as u128
 }
@@ -53,18 +53,6 @@ impl MinQueue {
         self.data.pop().map(|std::cmp::Reverse(p)| {
             Key(f64::from_bits((p >> 64) as u64), (p & u128::from(u64::MAX)) as usize)
         })
-    }
-
-    pub(crate) fn peek(&self) -> Option<Key> {
-        self.data.peek().map(|&std::cmp::Reverse(p)| {
-            Key(f64::from_bits((p >> 64) as u64), (p & u128::from(u64::MAX)) as usize)
-        })
-    }
-
-    /// The minimum key in packed form — what the sharded scheduler's
-    /// burst-bound comparisons run on.
-    pub(crate) fn peek_packed(&self) -> Option<u128> {
-        self.data.peek().map(|&std::cmp::Reverse(p)| p)
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -99,15 +87,8 @@ pub struct SimScratch {
     pub(crate) framings: Vec<crate::flowctrl::Framing>,
     /// Ready-event queue ordered by (time, id) (flow engine).
     pub(crate) heap: MinQueue,
-    /// Per-shard ready queues for the sharded flow variant.
-    pub(crate) shard_heaps: Vec<MinQueue>,
-    /// Per-event home shard for the sharded flow variant (shard of the
-    /// event's source node), recomputed per run from the `ShardPlan`.
-    pub(crate) shard_home: Vec<u32>,
     /// The cycle engine's buffers, calendars, worklists and NI tables.
     pub(crate) cycle: crate::cycle::CycleScratch,
-    /// The fair-share flow variant's queues and per-flow/per-link state.
-    pub(crate) fair: crate::flow::FairScratch,
 }
 
 impl SimScratch {
@@ -129,11 +110,7 @@ impl SimScratch {
             + self.gates.capacity()
             + self.framings.capacity()
             + self.heap.capacity()
-            + self.shard_heaps.capacity()
-            + self.shard_heaps.iter().map(MinQueue::capacity).sum::<usize>()
-            + self.shard_home.capacity()
             + self.cycle.capacity_elements()
-            + self.fair.capacity_elements()
     }
 }
 

@@ -1,4 +1,4 @@
-//! Pod partitioning for hierarchical collectives and sharded simulation.
+//! Pod partitioning for hierarchical collectives.
 //!
 //! A [`Partition`] splits a topology's vertices (nodes **and** switches)
 //! into `P` disjoint *pods*. Two construction modes exist:
@@ -10,16 +10,13 @@
 //!   for direct networks (torus, mesh, hypercube) and custom graphs.
 //!
 //! Both are fully deterministic: the same topology and pod count always
-//! produce the same assignment, which is what lets the sharded flow engine
-//! promise byte-identical output for any shard count and what makes
-//! hierarchical schedule construction reproducible.
+//! produce the same assignment, which is what makes hierarchical schedule
+//! construction reproducible.
 //!
 //! Every pod designates a *representative* (its lowest node id); the
 //! hierarchical MultiTree composition reduces each pod onto its
 //! representative and runs the inter-pod collective over representatives
-//! only. Each unidirectional link is *owned* by the pod of its source
-//! vertex, so the two links of one physical cable belong to the two
-//! endpoint pods and no link is ever owned twice.
+//! only.
 
 use crate::graph::{Topology, TopologyKind};
 use crate::ids::{LinkId, NodeId, Vertex};
@@ -238,13 +235,6 @@ impl Partition {
             Vertex::Switch(s) => self.num_nodes + s.index(),
         };
         self.vertex_pod[idx] as usize
-    }
-
-    /// Pod that owns a link: the pod of its **source** vertex. The two
-    /// unidirectional links of one cable are owned by the two endpoint
-    /// pods, so every link has exactly one owner.
-    pub fn pod_of_link(&self, topo: &Topology, l: LinkId) -> usize {
-        self.pod_of_vertex(topo.link(l).src)
     }
 
     /// Contracts each pod of `topo` to a single vertex and returns the
@@ -477,18 +467,6 @@ mod tests {
         let topo = Topology::torus(2, 2);
         assert_eq!(Partition::balanced(&topo, 0).num_pods(), 1);
         assert_eq!(Partition::balanced(&topo, 100).num_pods(), 4);
-    }
-
-    #[test]
-    fn link_ownership_is_unique_and_total() {
-        for topo in [Topology::torus(4, 4), Topology::dgx2_like_16()] {
-            let part = Partition::auto(&topo);
-            for i in 0..topo.num_links() {
-                let owner = part.pod_of_link(&topo, LinkId::new(i));
-                assert!(owner < part.num_pods());
-                assert_eq!(owner, part.pod_of_vertex(topo.link(LinkId::new(i)).src));
-            }
-        }
     }
 
     #[test]
