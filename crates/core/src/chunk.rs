@@ -85,10 +85,26 @@ impl ChunkRange {
     ///
     /// Rounds the per-segment size up so no event is ever charged zero
     /// bytes for a non-empty range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_segments` is zero or the count overflows `u64`
+    /// (which takes a payload within `total_segments` bytes of
+    /// `u64::MAX`); the engines use [`ChunkRange::checked_bytes`].
     pub fn bytes(self, total_bytes: u64, total_segments: u32) -> u64 {
+        self.checked_bytes(total_bytes, total_segments)
+            .expect("chunk byte count overflows u64")
+    }
+
+    /// [`ChunkRange::bytes`], or `None` when the count overflows `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_segments` is zero.
+    pub fn checked_bytes(self, total_bytes: u64, total_segments: u32) -> Option<u64> {
         assert!(total_segments > 0, "schedule must have segments");
         let per_seg = total_bytes.div_ceil(u64::from(total_segments));
-        u64::from(self.len()) * per_seg
+        u64::from(self.len()).checked_mul(per_seg)
     }
 }
 
@@ -135,6 +151,10 @@ mod tests {
         assert_eq!(ChunkRange::new(0, 4).bytes(1024, 16), 256);
         // empty range moves nothing
         assert_eq!(ChunkRange::new(3, 3).bytes(1024, 16), 0);
+        // a whole-range chunk rounds u64::MAX up past the counter
+        assert_eq!(ChunkRange::new(0, 3).checked_bytes(u64::MAX, 3), Some(u64::MAX));
+        assert_eq!(ChunkRange::new(0, 16).checked_bytes(u64::MAX, 16), None);
+        assert_eq!(ChunkRange::new(0, 1).checked_bytes(u64::MAX, 16), Some(u64::MAX / 16 + 1));
     }
 
     #[test]

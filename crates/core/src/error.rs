@@ -46,6 +46,12 @@ pub enum AlgorithmError {
         /// What is wrong.
         detail: String,
     },
+    /// A run's payload is so large that a byte or flit count of the run
+    /// overflows `u64`.
+    PayloadTooLarge {
+        /// The requested payload, in bytes.
+        total_bytes: u64,
+    },
     /// Checking a schedule needs more memory than the address space holds
     /// or the allocator grants; the schedule itself may be correct.
     ResourceExhausted {
@@ -77,6 +83,9 @@ impl fmt::Display for AlgorithmError {
             }
             AlgorithmError::ResourceExhausted { detail } => {
                 write!(f, "resource exhausted: {detail}")
+            }
+            AlgorithmError::PayloadTooLarge { total_bytes } => {
+                write!(f, "payload of {total_bytes} bytes overflows the run's 64-bit byte or flit counters")
             }
         }
     }

@@ -59,5 +59,5 @@ pub mod viz;
 pub use chunk::ChunkRange;
 pub use error::AlgorithmError;
 pub use event::{CollectiveOp, CommEvent, EventId, FlowId};
-pub use prepared::{PreparedData, PreparedSchedule};
+pub use prepared::{ExecEvent, PreparedData, PreparedSchedule};
 pub use schedule::CommSchedule;

@@ -296,15 +296,6 @@ impl CommSchedule {
         })
     }
 
-    /// Total length of the explicit paths of events `0..i` (`i` may be
-    /// `num_events()`). An unrouted event adds nothing, so a consumer
-    /// that lays out every event's hops in id order — explicit or routed
-    /// — finds event `i`'s routed links at its own hop offset minus this.
-    #[inline]
-    pub(crate) fn explicit_links_before(&self, i: usize) -> usize {
-        self.path_offsets[i] as usize
-    }
-
     /// Events sent by a given node, in insertion order.
     pub fn events_from(&self, node: NodeId) -> impl Iterator<Item = CommEvent<'_>> + '_ {
         self.events().filter(move |e| e.src == node)

@@ -171,7 +171,7 @@ impl CycleEngine {
         for (i, e) in schedule.events().enumerate() {
             let bytes = e.bytes(total_bytes, segs);
             let framing = frame_message(bytes, cfg);
-            let path = prep.path(i).to_vec();
+            let path: Vec<_> = prep.path(i).collect();
             assert!(!path.is_empty(), "events always cross at least one link");
             let total = framing.total_flits();
             flits_sent += total;
@@ -361,7 +361,7 @@ impl CycleEngine {
                 let msg = &sim.msgs[m as usize];
                 completion_cycle = completion_cycle.max(now);
                 delivered_count += 1;
-                for &dep_idx in prep.dependents(msg.event) {
+                for dep_idx in prep.dependents(msg.event) {
                     remaining_deps[dep_idx as usize] -= 1;
                 }
             }

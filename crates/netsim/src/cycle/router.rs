@@ -472,7 +472,7 @@ impl<O: SimObserver, const F: bool> Sim<'_, '_, O, F> {
         let next_link = if f.route_pos == f.hops {
             FRONT_EJECT
         } else if f.kind.is_head() {
-            self.prep.path(f.msg as usize)[f.route_pos as usize].index() as u32
+            self.prep.hop_links(f.msg as usize)[f.route_pos as usize]
         } else {
             FRONT_NONE
         };

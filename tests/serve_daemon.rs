@@ -298,3 +298,47 @@ fn malformed_lines_error_in_order_and_connection_survives() {
         .unwrap();
     assert!(matches!(resp, Response::Run(_)), "daemon still serving");
 }
+
+#[test]
+fn overflowing_payload_errors_in_order_and_connection_survives() {
+    // A payload whose flit counts overflow u64 gets a typed error reply
+    // in its place in the stream, healthy and with a runtime fault plan,
+    // and the connection keeps answering afterwards.
+    let mut d = daemon(2);
+    let mut client = Client::connect(d.addr()).unwrap();
+    let cube = TopologySpec::Hypercube { dim: 4 };
+    let flapped = Request::Run(RunRequest {
+        topology: cube.clone(),
+        algorithm: AlgorithmSpec::HalvingDoubling,
+        payload_bytes: u64::MAX,
+        engine: EngineSpec::Flow,
+        faults: Some(FaultPlan::new().link_flap(LinkId::new(0), 100.0, 200.0)),
+    });
+    let requests = vec![
+        run(cube.clone(), AlgorithmSpec::HalvingDoubling, 1 << 18),
+        run(cube.clone(), AlgorithmSpec::HalvingDoubling, u64::MAX),
+        flapped,
+        Request::Ping,
+        run(cube.clone(), AlgorithmSpec::HalvingDoubling, 1 << 18),
+    ];
+    let responses = client.batch(&requests).unwrap();
+    assert_eq!(responses.len(), requests.len());
+    let first = unwrap_run(responses[0].clone());
+    for (i, resp) in responses[1..3].iter().enumerate() {
+        let Response::Error(e) = resp else {
+            panic!("request {}: expected an error, got {resp:?}", i + 1);
+        };
+        assert!(
+            e.detail.contains("payload of 18446744073709551615 bytes overflows"),
+            "request {}: {}",
+            i + 1,
+            e.detail
+        );
+    }
+    assert!(matches!(responses[3], Response::Pong));
+    let last = unwrap_run(responses[4].clone());
+    assert_eq!(last.completion_ns, first.completion_ns);
+    assert!(matches!(client.request(&Request::Ping).unwrap(), Response::Pong));
+    drop(client);
+    d.shutdown();
+}
